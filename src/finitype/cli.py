@@ -19,13 +19,11 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from fractions import Fraction
 from typing import Callable
 
 from .bracelets import HopfPairBracelet
 from .chord_algebra import MAX_DEGREE, dim_a, enumerate_diagrams
 from .diagram import PDError, mark_singular, serialize_pd
-from .exact_math import LaurentPoly
 from .goussarov import (
     FamilyError,
     encode_singular_as_bracelet,
@@ -52,15 +50,6 @@ class UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str):  # noqa: A003 - argparse API
         self.exit(2, f"usage error: {message}\n")
-
-
-def _fmt(val) -> str:
-    """Canonical exact text for a computed value."""
-    if isinstance(val, LaurentPoly):
-        return str(val)
-    if isinstance(val, Fraction):
-        return str(val)
-    return str(val)
 
 
 def _parse_ints(text: str, what: str) -> tuple[int, ...]:
@@ -118,7 +107,7 @@ def _report_payload(report) -> dict:
             {
                 "label": c.label,
                 "crossings": list(c.crossings) if c.crossings is not None else None,
-                "value": _fmt(c.value),
+                "value": str(c.value),
                 "ok": c.ok,
             }
             for c in report.cases
@@ -138,7 +127,7 @@ def _cmd_invariant(args) -> int:
         _emit(args, [str(m)], {"command": "invariant", "name": "lk", "value": m})
         return 0
     inv = get_invariant(args.name)
-    val = _fmt(inv(d))
+    val = str(inv(d))
     _emit(args, [val], {"command": "invariant", "name": args.name, "value": val})
     return 0
 
@@ -207,12 +196,12 @@ def _cmd_theorem1(args) -> int:
     verdict = "PASS" if res.equal else "FAIL"
     _emit(
         args,
-        [f"lhs={_fmt(res.lhs)}", f"rhs={_fmt(res.rhs)}", verdict],
+        [f"lhs={res.lhs}", f"rhs={res.rhs}", verdict],
         {
             "command": "theorem1",
             "invariant": args.invariant,
-            "lhs": _fmt(res.lhs),
-            "rhs": _fmt(res.rhs),
+            "lhs": str(res.lhs),
+            "rhs": str(res.rhs),
             "equal": res.equal,
         },
     )

@@ -124,10 +124,11 @@ class Diagram:
 
     Validation happens on construction: every arc label must occur exactly
     twice, once as an incoming slot and once as an outgoing slot.  Component
-    structure and writhe are precomputed.
+    structure and writhe are precomputed.  A diagram is never changed after
+    construction, so its canonical key is computed once and kept.
     """
 
-    __slots__ = ("crossings", "free_loops", "components", "arc_component", "writhe")
+    __slots__ = ("crossings", "free_loops", "components", "arc_component", "writhe", "_key")
 
     def __init__(self, crossings: Sequence[Crossing], free_loops: int = 0):
         self.crossings: tuple[Crossing, ...] = tuple(crossings)
@@ -140,6 +141,7 @@ class Diagram:
             arc: ci for ci, comp in enumerate(self.components) for arc in comp
         }
         self.writhe = sum(x.sign for x in self.crossings)
+        self._key: str | None = None
 
     # -- validation and structure -------------------------------------
 
@@ -269,23 +271,21 @@ class Diagram:
 
         yield from rec(0, [])
 
-    def canonical(self) -> "Diagram":
-        """The canonical representative: minimal serialization over cyclic
-        arc relabelings (component order preserved)."""
-        best = None
-        best_d = None
-        for mapping in self._relabelings():
-            cand = self.relabeled(mapping)
-            cand = Diagram(
-                sorted(cand.crossings, key=lambda x: x.slots), cand.free_loops
-            )
-            s = serialize_pd(cand)
-            if best is None or s < best:
-                best, best_d = s, cand
-        return best_d if best_d is not None else self
-
     def canonical_key(self) -> str:
-        return serialize_pd(self.canonical())
+        """The minimal serialization over cyclic arc relabelings (component
+        order preserved), with crossings sorted by their relabeled slots."""
+        if self._key is not None:
+            return self._key
+        quads = [x.slots for x in self.crossings]
+        body = min(
+            " ".join(
+                "X[%d,%d,%d,%d]" % q
+                for q in sorted((m[a], m[b], m[c], m[d]) for a, b, c, d in quads)
+            )
+            for m in self._relabelings()
+        )
+        self._key = f"components={self.n_components} arcs={2 * self.n_crossings} {body}".rstrip()
+        return self._key
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Diagram) and self.canonical_key() == other.canonical_key()
@@ -304,7 +304,6 @@ class Diagram:
 _COMPONENTS_RE = re.compile(r"^components=(\d+)$")
 _ARCS_RE = re.compile(r"^arcs=(\d+)$")
 _X_TOKEN_RE = re.compile(r"^X\[(\d+),(\d+),(\d+),(\d+)\]$")
-_D_TOKEN_RE = re.compile(r"^D\[(\d+),(\d+),(\d+),(\d+)\]$")
 
 
 def _split_tokens(text: str) -> tuple[tuple[int, int] | None, list[str]]:
@@ -327,21 +326,14 @@ def _split_tokens(text: str) -> tuple[tuple[int, int] | None, list[str]]:
     return preamble, tokens
 
 
-def _parse_quads(tokens: list[str], allow_marks: bool = False):
+def _parse_quads(tokens: list[str]) -> list[tuple[int, int, int, int]]:
     quads: list[tuple[int, int, int, int]] = []
-    marks: list[int] = []
     for tok in tokens:
         m = _X_TOKEN_RE.match(tok)
-        if m:
-            quads.append(tuple(int(g) for g in m.groups()))
-            continue
-        m = _D_TOKEN_RE.match(tok)
-        if m and allow_marks:
-            marks.append(len(quads))
-            quads.append(tuple(int(g) for g in m.groups()))
-            continue
-        raise PDSyntaxError(f"malformed PD token {tok!r}")
-    return quads, marks
+        if not m:
+            raise PDSyntaxError(f"malformed PD token {tok!r}")
+        quads.append(tuple(int(g) for g in m.groups()))
+    return quads
 
 
 def _infer_signs(quads: list[tuple[int, int, int, int]]) -> list[int]:
@@ -435,7 +427,7 @@ def parse_pd(text: str) -> Diagram:
         PDOrientationError: no consistent orientation assignment.
     """
     preamble, tokens = _split_tokens(text)
-    quads, _ = _parse_quads(tokens)
+    quads = _parse_quads(tokens)
     signs = _infer_signs(quads)
     crossings = [Crossing(q, s) for q, s in zip(quads, signs)]
     d = Diagram(crossings, 0)
@@ -562,10 +554,11 @@ class SingularDiagram:
 
     A marked crossing remembers the transversal strands and the orientation
     but, semantically, no over/under choice: the canonical form erases it.
-    The stored crossing acts as a bookkeeping resolution.
+    The stored crossing acts as a bookkeeping resolution.  Like a diagram,
+    it never changes after construction, so its key is computed once.
     """
 
-    __slots__ = ("diagram", "marked")
+    __slots__ = ("diagram", "marked", "_key")
 
     def __init__(self, diagram: Diagram, marked: Iterable[int]):
         marked = frozenset(marked)
@@ -574,6 +567,7 @@ class SingularDiagram:
                 raise IndexError(f"marked crossing {i} out of range")
         self.diagram = diagram
         self.marked = marked
+        self._key: str | None = None
 
     @property
     def n_singular(self) -> int:
@@ -590,6 +584,8 @@ class SingularDiagram:
         return out
 
     def canonical_key(self) -> str:
+        if self._key is not None:
+            return self._key
         best = None
         for mapping in self.diagram._relabelings():
             toks = []
@@ -607,7 +603,8 @@ class SingularDiagram:
             )
             if best is None or s < best:
                 best = s
-        return best if best is not None else "components=1 arcs=0"
+        self._key = best
+        return best
 
     def __eq__(self, other) -> bool:
         return (

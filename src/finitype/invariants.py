@@ -275,7 +275,6 @@ class Invariant:
     name: str
     fn: Callable[[Diagram], object]
     zero: object
-    knots_only: bool = False
 
     def __call__(self, d: Diagram):
         return self.fn(d)
@@ -291,8 +290,8 @@ def _register(inv: Invariant) -> Invariant:
 
 JONES = _register(Invariant("jones", jones, LaurentPoly.zero("q")))
 CONWAY = _register(Invariant("conway", conway, LaurentPoly.zero("z")))
-C2 = _register(Invariant("c2", c2, Fraction(0), knots_only=True))
-J3 = _register(Invariant("j3", j3, Fraction(0), knots_only=True))
+C2 = _register(Invariant("c2", c2, Fraction(0)))
+J3 = _register(Invariant("j3", j3, Fraction(0)))
 
 
 def invariant_names() -> list[str]:

@@ -52,7 +52,14 @@ class TestParsing:
             parse_pd(TREFOIL + " components=1 arcs=6")
 
     def test_malformed_tokens(self):
-        for bad in ("X[1,2,3]", "X[1,2,3,4,5]", "Y[1,2,3,4]", "X[a,b,c,d]", "X 1 2 3 4"):
+        for bad in (
+            "X[1,2,3]",
+            "X[1,2,3,4,5]",
+            "Y[1,2,3,4]",
+            "X[a,b,c,d]",
+            "X 1 2 3 4",
+            "X[1,4,2,5] D[3,6,4,1] X[5,2,6,3]",  # D[...] occurs only in singular keys
+        ):
             with pytest.raises(PDSyntaxError):
                 parse_pd(bad)
 
@@ -194,6 +201,24 @@ class TestCanonicalForm:
 
     def test_crossingless_key(self):
         assert parse_pd("components=1 arcs=0").canonical_key() == "components=1 arcs=0"
+
+    def test_pinned_keys(self):
+        # key strings order FormalSum terms and appear in CLI output
+        t = bundled_table()
+        assert t["3_1"].canonical_key() == (
+            "components=1 arcs=6 X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
+        )
+        assert t["hopf"].canonical_key() == "components=2 arcs=4 X[1,3,2,4] X[3,1,4,2]"
+        assert t["unlink2"].canonical_key() == "components=2 arcs=0"
+        assert mark_singular(t["3_1"], (0,)).canonical_key() == (
+            "components=1 arcs=6 D[1,3,6,4] X[1,4,2,5] X[5,2,6,3]"
+        )
+
+    def test_key_is_computed_once(self):
+        d = parse_pd(TREFOIL)
+        assert d.canonical_key() is d.canonical_key()
+        k = mark_singular(d, (0,))
+        assert k.canonical_key() is k.canonical_key()
 
 
 class TestGaussCode:

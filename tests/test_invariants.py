@@ -192,6 +192,13 @@ class TestDerivedScalars:
         for name in ("3_1", "4_1", "5_1"):
             assert c2(mirror(T[name])) == c2(T[name])
 
+    @pytest.mark.parametrize("name", ["hopf", "chain3"])
+    def test_knot_scalars_reject_links(self, name):
+        with pytest.raises(InvariantError):
+            c2(T[name])
+        with pytest.raises(InvariantError):
+            j3(T[name])
+
 
 class TestLinkingMatrix:
     def test_hopf(self):

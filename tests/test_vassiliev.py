@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitype.diagram import FormalSum, mark_singular
+from finitype.diagram import Diagram, FormalSum, mark_singular, parse_pd, serialize_pd
 from finitype.invariants import evaluate_on_sum, get_invariant
 from finitype.tables import bundled_table
 from finitype.vassiliev import (
@@ -19,6 +19,22 @@ from finitype.vassiliev import (
 )
 
 T = bundled_table()
+
+
+class TestKeyWork:
+    def test_one_relabeling_search_per_resolution(self, monkeypatch):
+        # a fresh parse, so no key of the cached table diagram is reused
+        k = parse_pd(serialize_pd(T["5_1"]))
+        searches = []
+        original = Diagram._relabelings
+
+        def counted(self):
+            searches.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Diagram, "_relabelings", counted)
+        vassiliev_difference(k, (0, 1, 2), get_invariant("c2"))
+        assert len(searches) == 8
 
 
 class TestResolveOnce:
