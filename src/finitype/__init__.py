@@ -24,7 +24,6 @@ from .chord_algebra import (
     ChordDiagram,
     RelationSet,
     WeightSpaceReport,
-    canonicalize,
     dim_a,
     enumerate_diagrams,
     generate_4t,
@@ -49,7 +48,7 @@ from .diagram import (
     switch_crossing,
     to_gauss,
 )
-from .exact_math import LaurentPoly, SparseMatrix, TruncatedSeries
+from .exact_math import LaurentPoly, SparseMatrix
 from .goussarov import (
     MAX_REGIONS,
     DetourFamily,
@@ -125,7 +124,6 @@ __all__ = [
     "mark_singular",
     # exact arithmetic
     "LaurentPoly",
-    "TruncatedSeries",
     "SparseMatrix",
     # invariants
     "Invariant",
@@ -167,7 +165,6 @@ __all__ = [
     # chord diagrams
     "MAX_DEGREE",
     "ChordDiagram",
-    "canonicalize",
     "enumerate_diagrams",
     "RelationSet",
     "generate_4t",

@@ -115,9 +115,6 @@ class HopfPairBracelet:
             [(i - 1, j - 1) for i, j in self.matching]
         )
 
-    def canonical_key(self) -> str:
-        return ",".join(f"{i}:{j}" for i, j in self.matching)
-
 
 def realize_as_link(pairs: Iterable[tuple[int, int]]) -> CyclicLink:
     """The bracelet link of a 1-based perfect matching, naturally ordered."""

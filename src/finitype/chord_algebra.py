@@ -25,7 +25,6 @@ from .exact_math import SparseMatrix
 
 __all__ = [
     "ChordDiagram",
-    "canonicalize",
     "enumerate_diagrams",
     "RelationSet",
     "generate_4t",
@@ -113,16 +112,8 @@ class ChordDiagram:
     def __str__(self) -> str:
         return "".join(string.ascii_uppercase[c] for c in self.word) or "(empty)"
 
-    def canonical_key(self) -> str:
-        return str(self)
-
     def __lt__(self, other: "ChordDiagram") -> bool:
         return (len(self.word), self.word) < (len(other.word), other.word)
-
-
-def canonicalize(word: Iterable[int]) -> ChordDiagram:
-    """Canonical form of a raw double-occurrence word; idempotent."""
-    return ChordDiagram.from_word(word)
 
 
 def _matchings(points: tuple[int, ...]) -> Iterator[tuple[tuple[int, int], ...]]:
@@ -168,14 +159,6 @@ class RelationSet:
 
     def __len__(self) -> int:
         return len(self.rows)
-
-    def as_formal_sums(self):
-        """The relations as FormalSums of chord diagrams."""
-        from .diagram import FormalSum
-
-        return [
-            FormalSum([(self.basis[i], c) for i, c in row]) for row in self.rows
-        ]
 
 
 def _normalize(row: Relation) -> tuple[tuple[int, Fraction], ...] | None:

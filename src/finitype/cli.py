@@ -39,7 +39,6 @@ from .vassiliev import vassiliev_type_check
 
 __all__ = ["main", "build_parser"]
 
-DEFAULT_MAX_DEGREE = 7
 DEFAULT_MAX_CROSSINGS = 16
 
 
@@ -310,8 +309,8 @@ def build_parser() -> _Parser:
     parser.add_argument(
         "--max-degree",
         type=int,
-        default=DEFAULT_MAX_DEGREE,
-        help=f"largest accepted degree parameter (default {DEFAULT_MAX_DEGREE})",
+        default=MAX_DEGREE,
+        help=f"largest accepted degree parameter (default {MAX_DEGREE})",
     )
     parser.add_argument(
         "--max-crossings",

@@ -431,20 +431,20 @@ def parse_pd(text: str) -> Diagram:
     signs = _infer_signs(quads)
     crossings = [Crossing(q, s) for q, s in zip(quads, signs)]
     d = Diagram(crossings, 0)
-    free = 0
-    if preamble is not None:
-        ncomp, narcs = preamble
-        if narcs != 2 * len(quads):
-            raise PDSyntaxError(
-                f"preamble declares {narcs} arcs but tokens define {2 * len(quads)}"
-            )
-        traced = len(d.components)
-        if ncomp < traced:
-            raise PDSyntaxError(
-                f"preamble declares {ncomp} components but crossings trace {traced}"
-            )
-        free = ncomp - traced
-    return Diagram(crossings, free)
+    if preamble is None:
+        return d
+    ncomp, narcs = preamble
+    if narcs != 2 * len(quads):
+        raise PDSyntaxError(
+            f"preamble declares {narcs} arcs but tokens define {2 * len(quads)}"
+        )
+    traced = len(d.components)
+    if ncomp < traced:
+        raise PDSyntaxError(
+            f"preamble declares {ncomp} components but crossings trace {traced}"
+        )
+    free = ncomp - traced
+    return Diagram(crossings, free) if free else d
 
 
 def serialize_pd(d: Diagram) -> str:
@@ -569,10 +569,6 @@ class SingularDiagram:
         self.marked = marked
         self._key: str | None = None
 
-    @property
-    def n_singular(self) -> int:
-        return len(self.marked)
-
     def resolved(self, signs: dict[int, int]) -> Diagram:
         """Resolve every marked double point with the given sign (+1/-1)."""
         if set(signs) != set(self.marked):
@@ -683,10 +679,11 @@ class FormalSum:
 
     def map_terms(self, fn: Callable[[object], "FormalSum"]) -> "FormalSum":
         """Linear extension of a generator-to-sum map."""
-        out = FormalSum()
-        for obj, coeff in self._terms.values():
-            out = out + fn(obj).scale(coeff)
-        return out
+        return FormalSum(
+            (obj, k * coeff)
+            for src, coeff in self._terms.values()
+            for obj, k in fn(src)._terms.values()
+        )
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, FormalSum):

@@ -1,5 +1,5 @@
-"""Exact arithmetic kernels: Laurent polynomials, truncated power series,
-and sparse matrices over the rationals.
+"""Exact arithmetic kernels: Laurent polynomials and sparse matrices over
+the rationals.
 
 Everything in this module is exact.  Rational numbers are represented by
 :class:`fractions.Fraction` (always reduced, positive denominator), Laurent
@@ -11,19 +11,12 @@ Fraction entries with a deterministic pivot rule.  No floats anywhere.
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping
+from typing import Mapping
 
 __all__ = [
-    "Rational",
     "LaurentPoly",
-    "TruncatedSeries",
     "SparseMatrix",
-    "laurent_substitute_exp",
 ]
-
-# Arbitrary-precision rationals.  fractions.Fraction already guarantees the
-# invariants we need (lowest terms, denominator > 0, 0 == 0/1).
-Rational = Fraction
 
 
 def _as_fraction(x) -> Fraction:
@@ -145,9 +138,6 @@ class LaurentPoly:
         """Replace the variable by its inverse (exponent negation)."""
         return LaurentPoly(self.var, {-e: c for e, c in self.terms.items()})
 
-    def exponents(self) -> list[int]:
-        return sorted(self.terms)
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, LaurentPoly)
@@ -177,107 +167,6 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.var!r}, {dict(sorted(self.terms.items()))!r})"
-
-
-class TruncatedSeries:
-    """A power series truncated at a fixed order.
-
-    Coefficients are stored for exponents 0..order inclusive; arithmetic
-    silently discards anything beyond the truncation order.
-    """
-
-    __slots__ = ("var", "order", "coeffs")
-
-    def __init__(self, var: str, order: int, coeffs: Iterable = ()):
-        if order < 0:
-            raise ValueError("order must be >= 0")
-        self.var = var
-        self.order = order
-        cs = [_as_fraction(c) for c in coeffs]
-        if len(cs) > order + 1:
-            cs = cs[: order + 1]
-        cs += [Fraction(0)] * (order + 1 - len(cs))
-        self.coeffs = cs
-
-    @classmethod
-    def exponential(cls, var: str, rate: int, order: int) -> "TruncatedSeries":
-        """The series of exp(rate * var) up to the truncation order."""
-        coeffs = []
-        c = Fraction(1)
-        for i in range(order + 1):
-            coeffs.append(c)
-            c = c * rate / (i + 1)
-        return cls(var, order, coeffs)
-
-    def _check(self, other: "TruncatedSeries") -> None:
-        if self.var != other.var or self.order != other.order:
-            raise ValueError("series mismatch (variable or order)")
-
-    def __add__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(
-            self.var, self.order, [a + b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __sub__(self, other: "TruncatedSeries") -> "TruncatedSeries":
-        self._check(other)
-        return TruncatedSeries(
-            self.var, self.order, [a - b for a, b in zip(self.coeffs, other.coeffs)]
-        )
-
-    def __mul__(self, other) -> "TruncatedSeries":
-        if isinstance(other, (int, Fraction)):
-            c = _as_fraction(other)
-            return TruncatedSeries(self.var, self.order, [a * c for a in self.coeffs])
-        self._check(other)
-        out = [Fraction(0)] * (self.order + 1)
-        for i, a in enumerate(self.coeffs):
-            if a == 0:
-                continue
-            for j, b in enumerate(other.coeffs):
-                if i + j > self.order:
-                    break
-                out[i + j] += a * b
-        return TruncatedSeries(self.var, self.order, out)
-
-    __rmul__ = __mul__
-
-    def scale(self, c) -> "TruncatedSeries":
-        return self * c
-
-    def coefficient(self, i: int) -> Fraction:
-        if not 0 <= i <= self.order:
-            raise IndexError(f"coefficient {i} beyond truncation order {self.order}")
-        return self.coeffs[i]
-
-    def __eq__(self, other) -> bool:
-        return (
-            isinstance(other, TruncatedSeries)
-            and self.var == other.var
-            and self.order == other.order
-            and self.coeffs == other.coeffs
-        )
-
-    def __repr__(self) -> str:
-        return f"TruncatedSeries({self.var!r}, {self.order}, {self.coeffs!r})"
-
-
-def laurent_substitute_exp(p: LaurentPoly, order: int, var: str = "x") -> TruncatedSeries:
-    """Substitute ``exp(var)`` for the polynomial variable.
-
-    Each term c*q**e contributes c*exp(e*var); the result is the truncated
-    power series of the sum.  This is how a Jones-style polynomial in q is
-    expanded to extract perturbative coefficients.
-
-    Args:
-        p: Laurent polynomial in any variable.
-        order: truncation order of the resulting series.
-        var: name of the series variable.
-    """
-    out = TruncatedSeries(var, order)
-    for e, c in p.terms.items():
-        out = out + TruncatedSeries.exponential(var, e, order) * c
-    return out
 
 
 class SparseMatrix:
@@ -326,27 +215,19 @@ class SparseMatrix:
             rows[r][c] = v
         return rows
 
-    def rank(self, pivot: str = "sparsest") -> int:
+    def rank(self) -> int:
         """Exact rank by Gaussian elimination.
 
         The pivot column is always the smallest column index with a nonzero
-        entry among the remaining rows.  Among candidate rows the strategy
-        ``"sparsest"`` picks the row with the fewest nonzeros (ties broken by
-        original row order), while ``"first"`` simply picks the earliest row.
-        Both strategies give the same rank; having two is a cheap way to
-        cross-check the elimination.
+        entry among the remaining rows; the pivot row is the candidate with
+        the fewest nonzeros, ties broken by original row order.
         """
-        if pivot not in ("sparsest", "first"):
-            raise ValueError(f"unknown pivot strategy {pivot!r}")
         rows = [row for row in self.row_dicts() if row]
         rank = 0
         while rows:
             pivot_col = min(min(row) for row in rows)
             candidates = [i for i, row in enumerate(rows) if pivot_col in row]
-            if pivot == "sparsest":
-                pick = min(candidates, key=lambda i: (len(rows[i]), i))
-            else:
-                pick = candidates[0]
+            pick = min(candidates, key=lambda i: (len(rows[i]), i))
             prow = rows.pop(pick)
             pval = prow[pivot_col]
             rank += 1

@@ -76,10 +76,6 @@ class SwitchRegion:
     route0: Route
     route1: Route
 
-    @property
-    def trivial(self) -> bool:
-        return self.route0 == self.route1
-
 
 def _renumber(d: Diagram) -> Diagram:
     """Relabel arcs 1..2c in traversal order (components by minimal arc)."""
@@ -406,9 +402,7 @@ def serialize_family(f: DetourFamily) -> str:
 
 def delta_g(f: DetourFamily, r: int) -> FormalSum:
     """(f frozen to the detour at r) - (f frozen to the main road at r)."""
-    return FormalSum.single(f.frozen(r, True), 1) + FormalSum.single(
-        f.frozen(r, False), -1
-    )
+    return FormalSum([(f.frozen(r, True), 1), (f.frozen(r, False), -1)])
 
 
 def goussarov_difference(f: DetourFamily, inv: Invariant):
@@ -417,10 +411,10 @@ def goussarov_difference(f: DetourFamily, inv: Invariant):
     Resolutions are merged by canonical form before evaluation, so shared
     values (the whole point of the encodings) are computed once.
     """
-    total = FormalSum.zero()
-    for mask in range(1 << f.m):
-        sign = -1 if bin(mask).count("1") % 2 else 1
-        total = total + FormalSum.single(f._resolutions[mask], sign)
+    total = FormalSum(
+        (f._resolutions[mask], -1 if bin(mask).count("1") % 2 else 1)
+        for mask in range(1 << f.m)
+    )
     return evaluate_on_sum(inv, total)
 
 

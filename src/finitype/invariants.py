@@ -23,7 +23,7 @@ from fractions import Fraction
 from typing import Callable
 
 from .diagram import Diagram, FormalSum, switch_crossing
-from .exact_math import LaurentPoly, laurent_substitute_exp
+from .exact_math import LaurentPoly
 
 __all__ = [
     "InvariantError",
@@ -135,31 +135,19 @@ def _is_split(d: Diagram) -> bool:
     return not d.is_connected() if d.crossings else False
 
 
-def _passages(d: Diagram, rotate: bool) -> list[tuple[int, bool]]:
-    """Crossing passages in traversal order as (crossing index, is_over).
-
-    With rotate=False every component starts at its minimal arc; with
-    rotate=True at its maximal arc.  Either choice gives a valid skein
-    resolution order; computing with both is a consistency check.
-    """
+def _passages(d: Diagram) -> list[tuple[int, bool]]:
+    """Crossing passages in traversal order as (crossing index, is_over),
+    every component starting at its minimal arc."""
     where: dict[int, tuple[int, bool]] = {}
     for i, x in enumerate(d.crossings):
         where[x.under_in] = (i, False)
         where[x.over_in] = (i, True)
-    out = []
-    for comp in d.components:
-        comp = list(comp)
-        if rotate:
-            k = comp.index(max(comp))
-            comp = comp[k:] + comp[:k]
-        for arc in comp:
-            out.append(where[arc])
-    return out
+    return [where[arc] for comp in d.components for arc in comp]
 
 
-def _first_bad(d: Diagram, rotate: bool) -> int | None:
+def _first_bad(d: Diagram) -> int | None:
     seen: set[int] = set()
-    for i, over in _passages(d, rotate):
+    for i, over in _passages(d):
         if i not in seen:
             seen.add(i)
             if not over:
@@ -188,7 +176,7 @@ def _smooth_oriented(d: Diagram, i: int) -> Diagram:
     return Diagram(new_crossings, new_free)
 
 
-def conway(d: Diagram, *, max_depth: int = 64, rotate: bool = False) -> LaurentPoly:
+def conway(d: Diagram, *, max_depth: int = 64) -> LaurentPoly:
     """Conway polynomial in z.
 
     Base cases: split diagrams give 0, descending diagrams give 1 for a
@@ -209,7 +197,7 @@ def conway(d: Diagram, *, max_depth: int = 64, rotate: bool = False) -> LaurentP
         while True:
             if _is_split(cur):
                 return acc
-            bad = _first_bad(cur, rotate)
+            bad = _first_bad(cur)
             if bad is None:
                 if cur.n_components == 1:
                     return acc + LaurentPoly.constant("z", 1)
@@ -234,11 +222,13 @@ def c2(d: Diagram, **kw) -> Fraction:
 
 
 def j3(d: Diagram) -> Fraction:
-    """Coefficient of x^3 in jones evaluated at q = e^x (knots only)."""
+    """Coefficient of x^3 in jones evaluated at q = e^x (knots only).
+
+    Each term c*q^e contributes c*e^3/3! to that coefficient.
+    """
     if d.n_components != 1:
         raise InvariantError("j3 is defined for knots (single component)")
-    series = laurent_substitute_exp(jones(d), 3)
-    return series.coefficient(3)
+    return sum(c * e**3 for e, c in jones(d).terms.items()) / 6
 
 
 def linking_matrix(d: Diagram) -> list[list[int]]:
@@ -311,9 +301,5 @@ def evaluate_on_sum(inv: Invariant, s: FormalSum):
     """Linear extension: evaluate the invariant on a formal sum of diagrams."""
     acc = inv.zero
     for dgm, coeff in s.terms():
-        val = inv.fn(dgm)
-        if isinstance(val, LaurentPoly):
-            acc = acc + val.scale(coeff)
-        else:
-            acc = acc + val * coeff
+        acc = acc + inv.fn(dgm) * coeff
     return acc

@@ -4,13 +4,12 @@ These deliberately take different algorithmic routes:
 
 * jones_recursive resolves crossings one at a time (skein-tree over
   smoothings with delooping), instead of enumerating all 2^c states;
-* conway_alt runs the Conway skein with a different resolution order
-  (every component traversal rotated to start at its maximal arc);
 * count_diagrams_burnside counts chord-diagram rotation orbits by the
   orbit-counting lemma instead of canonical-form deduplication.
 
 The selftest and the test suite require these to agree with the primary
-implementations on the bundled tables.
+implementations on the bundled tables.  Conway has no second route here:
+it is checked against published polynomials instead.
 """
 
 from __future__ import annotations
@@ -19,12 +18,11 @@ from fractions import Fraction
 
 from .diagram import Diagram
 from .exact_math import LaurentPoly
-from .invariants import InvariantError, conway
+from .invariants import InvariantError
 
 __all__ = [
     "bracket_recursive",
     "jones_recursive",
-    "conway_alt",
     "count_diagrams_burnside",
 ]
 
@@ -75,11 +73,6 @@ def jones_recursive(d: Diagram) -> LaurentPoly:
             raise InvariantError("fractional q-exponents in jones_recursive")
         terms[-e // 4] = coeff
     return LaurentPoly("q", terms)
-
-
-def conway_alt(d: Diagram) -> LaurentPoly:
-    """Conway polynomial with the alternate skein resolution order."""
-    return conway(d, rotate=True)
 
 
 def count_diagrams_burnside(n: int) -> int:

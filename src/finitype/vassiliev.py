@@ -11,6 +11,7 @@ vassiliev_type_check reports this with witnesses.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from itertools import product
 from typing import Sequence
@@ -38,13 +39,12 @@ def resolve_once(k: SingularDiagram, d: int) -> FormalSum:
     if d not in k.marked:
         raise ValueError(f"crossing {d} is not a double point of this diagram")
     rest = k.marked - {d}
-    out = FormalSum.zero()
-    for sign, coeff in ((1, 1), (-1, -1)):
-        dgm = k.diagram
-        if dgm.crossings[d].sign != sign:
-            dgm = switch_crossing(dgm, d)
-        out = out + FormalSum.single(SingularDiagram(dgm, rest), coeff)
-    return out
+    flipped = switch_crossing(k.diagram, d)
+    if k.diagram.crossings[d].sign > 0:
+        plus, minus = k.diagram, flipped
+    else:
+        plus, minus = flipped, k.diagram
+    return FormalSum([(SingularDiagram(plus, rest), 1), (SingularDiagram(minus, rest), -1)])
 
 
 def resolve_all(k: SingularDiagram) -> FormalSum:
@@ -55,16 +55,10 @@ def resolve_all(k: SingularDiagram) -> FormalSum:
     what makes the once-differenced classes well defined.
     """
     points = sorted(k.marked)
-    out = FormalSum.zero()
-    for pattern in product((1, -1), repeat=len(points)):
-        coeff = 1
-        dgm = k.diagram
-        for i, sign in zip(points, pattern):
-            coeff *= sign
-            if dgm.crossings[i].sign != sign:
-                dgm = switch_crossing(dgm, i)
-        out = out + FormalSum.single(dgm, coeff)
-    return out
+    return FormalSum(
+        (k.resolved(dict(zip(points, pattern))), math.prod(pattern))
+        for pattern in product((1, -1), repeat=len(points))
+    )
 
 
 def difference_sum(k: Diagram, crossings: Sequence[int]) -> FormalSum:
@@ -75,14 +69,14 @@ def difference_sum(k: Diagram, crossings: Sequence[int]) -> FormalSum:
     for i in idx:
         if not 0 <= i < k.n_crossings:
             raise ValueError(f"crossing index {i} out of range")
-    out = FormalSum.zero()
+    terms = []
     for picks in product((0, 1), repeat=len(idx)):
         dgm = k
         for i, take in zip(idx, picks):
             if take:
                 dgm = switch_crossing(dgm, i)
-        out = out + FormalSum.single(dgm, (-1) ** sum(picks))
-    return out
+        terms.append((dgm, (-1) ** sum(picks)))
+    return FormalSum(terms)
 
 
 def vassiliev_difference(k: Diagram, crossings: Sequence[int], inv: Invariant):

@@ -36,6 +36,20 @@ class TestParsing:
         assert d.writhe == -3
         assert d.is_knot()
 
+    def test_one_diagram_built_per_parse(self, monkeypatch):
+        builds = []
+        original = Diagram.__init__
+
+        def counted(self, *args, **kwargs):
+            builds.append(self)
+            original(self, *args, **kwargs)
+
+        monkeypatch.setattr(Diagram, "__init__", counted)
+        parse_pd(TREFOIL)
+        assert len(builds) == 1
+        parse_pd("components=1 arcs=6 " + TREFOIL)
+        assert len(builds) == 2
+
     def test_preamble_declares_free_loops(self):
         d = parse_pd("components=1 arcs=0")
         assert d.n_crossings == 0

@@ -1,4 +1,4 @@
-"""Exact arithmetic building blocks: Laurent polynomials, series, rank."""
+"""Exact arithmetic building blocks: Laurent polynomials and rank."""
 
 from fractions import Fraction
 
@@ -6,12 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitype.exact_math import (
-    LaurentPoly,
-    SparseMatrix,
-    TruncatedSeries,
-    laurent_substitute_exp,
-)
+from finitype.exact_math import LaurentPoly, SparseMatrix
 
 
 def P(**terms):
@@ -84,32 +79,6 @@ class TestLaurentPoly:
         assert a.substitute_inverse().substitute_inverse() == a
 
 
-class TestTruncatedSeries:
-    def test_exponential_product_rule(self):
-        order = 8
-        e2 = TruncatedSeries.exponential("x", 2, order)
-        e3 = TruncatedSeries.exponential("x", 3, order)
-        assert e2 * e3 == TruncatedSeries.exponential("x", 5, order)
-
-    def test_exponential_coefficients(self):
-        e1 = TruncatedSeries.exponential("x", 1, 5)
-        fact = 1
-        for i in range(6):
-            if i:
-                fact *= i
-            assert e1.coefficient(i) == Fraction(1, fact)
-
-    def test_substitute_exp_linearity(self):
-        p = P(em1=2, e3=-1)
-        s = laurent_substitute_exp(p, 6)
-        expect = TruncatedSeries.exponential("x", -1, 6).scale(2) - (
-            TruncatedSeries.exponential("x", 3, 6)
-        )
-        assert s == expect
-        # constant term is the evaluation at q = 1
-        assert s.coefficient(0) == sum(p.terms.values())
-
-
 def _dense_rank(rows, ncols):
     """Independent dense Gaussian elimination over Fraction."""
     mat = [[Fraction(row.get(j, 0)) for j in range(ncols)] for row in rows]
@@ -151,24 +120,10 @@ class TestSparseMatrix:
         with pytest.raises(IndexError):
             m[2, 0] = 1
 
-    def test_pivot_strategies_agree_and_unknown_rejected(self):
-        m = SparseMatrix.from_rows(
-            [
-                {0: Fraction(1), 2: Fraction(1)},
-                {0: Fraction(1), 1: Fraction(1)},
-                {1: Fraction(-1), 2: Fraction(1)},
-            ],
-            3,
-        )
-        assert m.rank(pivot="sparsest") == m.rank(pivot="first") == 2
-        with pytest.raises(ValueError):
-            m.rank(pivot="midway")
-
     @given(st.lists(row_strategy, max_size=6))
     @settings(max_examples=80, deadline=None)
     def test_rank_matches_dense_oracle(self, rows):
         m = SparseMatrix.from_rows([dict(r) for r in rows], 6)
         expect = _dense_rank(rows, 6)
-        assert m.rank(pivot="sparsest") == expect
-        assert m.rank(pivot="first") == expect
+        assert m.rank() == expect
         assert m.transpose().rank() == expect

@@ -78,8 +78,7 @@ class TestConstruction:
     def test_m_and_trivial_property(self):
         fam = switch_family(T["3_1"], (0, 1))
         assert fam.m == 4
-        assert not fam.regions[0].trivial
-        assert SwitchRegion((), Route(), Route()).trivial
+        assert fam.regions[0].route0 != fam.regions[0].route1
 
 
 class TestCrossingEncoding:
