@@ -2,8 +2,9 @@
 
 These deliberately take different algorithmic routes:
 
-* jones_recursive resolves crossings one at a time (skein-tree over
-  smoothings with delooping), instead of enumerating all 2^c states;
+* bracket_state_sum enumerates all 2^c smoothings, with a fresh union-find
+  over the arcs for each state, instead of contracting the planar tangle
+  crossing by crossing as invariants.kauffman_bracket does;
 * count_diagrams_burnside counts chord-diagram rotation orbits by the
   orbit-counting lemma instead of canonical-form deduplication.
 
@@ -18,61 +19,42 @@ from fractions import Fraction
 
 from .diagram import Diagram
 from .exact_math import LaurentPoly
-from .invariants import InvariantError
+from .invariants import _ArcUnion
 
 __all__ = [
-    "bracket_recursive",
-    "jones_recursive",
+    "bracket_state_sum",
     "count_diagrams_burnside",
 ]
 
-_DELTA = LaurentPoly("A", {2: Fraction(-1), -2: Fraction(-1)})
 
+def bracket_state_sum(d: Diagram) -> tuple[LaurentPoly, int]:
+    """Bracket polynomial in the variable A by full state enumeration.
 
-def _smooth_raw(quads: list[tuple[int, int, int, int]], free: int, pairs):
-    """Join the two arc pairs of a removed crossing in a raw quad list."""
-    parent: dict[int, int] = {}
-
-    def find(x: int) -> int:
-        parent.setdefault(x, x)
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in pairs:
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    rest = [tuple(find(s) for s in q) for q in quads]
-    used = {s for q in rest for s in q}
-    roots = {find(x) for x in parent}
-    free += len(roots - used)
-    return rest, free
-
-
-def bracket_recursive(quads, free: int = 0) -> LaurentPoly:
-    """Kauffman bracket of a raw (unoriented) crossing list."""
-    if not quads:
-        return _DELTA ** (free - 1) if free else LaurentPoly.constant("A", 1)
-    a, b, c, d = quads[0]
-    rest = quads[1:]
-    qa, fa = _smooth_raw(rest, free, [(a, b), (c, d)])
-    qb, fb = _smooth_raw(rest, free, [(a, d), (b, c)])
-    return bracket_recursive(qa, fa).shift(1) + bracket_recursive(qb, fb).shift(-1)
-
-
-def jones_recursive(d: Diagram) -> LaurentPoly:
-    """Jones polynomial via the recursive bracket."""
-    br = bracket_recursive([x.slots for x in d.crossings], d.free_loops)
-    w = d.writhe
-    f = LaurentPoly("A", {-3 * w: Fraction(-1) if w % 2 else Fraction(1)}) * br
-    terms = {}
-    for e, coeff in f.terms.items():
-        if e % 4 != 0:
-            raise InvariantError("fractional q-exponents in jones_recursive")
-        terms[-e // 4] = coeff
-    return LaurentPoly("q", terms)
+    Returns (bracket, number of states visited); the state count is always
+    exactly 2^c, which tests assert.
+    """
+    arcs = d.arcs()
+    n = d.n_crossings
+    delta = LaurentPoly("A", {2: Fraction(-1), -2: Fraction(-1)})
+    total = LaurentPoly.zero("A")
+    states = 0
+    for mask in range(1 << n):
+        states += 1
+        uf = _ArcUnion(arcs)
+        exp = 0
+        for i, x in enumerate(d.crossings):
+            a, b, c, dd = x.slots
+            if mask >> i & 1:  # B-smoothing
+                uf.union(a, dd)
+                uf.union(b, c)
+                exp -= 1
+            else:  # A-smoothing
+                uf.union(a, b)
+                uf.union(c, dd)
+                exp += 1
+        loops = uf.count + d.free_loops
+        total = total + (delta ** (loops - 1)).shift(exp)
+    return total, states
 
 
 def count_diagrams_burnside(n: int) -> int:

@@ -3,12 +3,15 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from finitype.diagram import FormalSum, mirror, parse_pd, switch_crossing
+from finitype.diagram import Crossing, Diagram, FormalSum, mirror, parse_pd, switch_crossing
 from finitype.exact_math import LaurentPoly
 from finitype.invariants import (
     InvariantError,
     SkeinDepthError,
+    _smooth_oriented,
     c2,
     conway,
     evaluate_on_sum,
@@ -19,7 +22,7 @@ from finitype.invariants import (
     kauffman_bracket,
     linking_matrix,
 )
-from finitype.oracles import jones_recursive
+from finitype.oracles import bracket_state_sum
 from finitype.tables import bundled_table
 
 
@@ -44,6 +47,38 @@ def z(**terms):
 
 
 T = bundled_table()
+
+
+def braid_closure(strands: int, word) -> Diagram:
+    """Closure of a braid word; letter +g / -g is sigma_g or its inverse.
+
+    Strands run upward.  At a crossing of positions g and g+1 the ends read
+    counterclockwise bottom-left, bottom-right, top-right, top-left; +g puts
+    the bottom-left strand over (a positive crossing), -g puts it under.
+    Strands that no letter touches close into free loops.
+    """
+    top = list(range(1, strands + 1))
+    nxt = strands + 1
+    quads = []
+    for letter in word:
+        i = abs(letter) - 1
+        bl, br, tr, tl = top[i], top[i + 1], nxt, nxt + 1
+        nxt += 2
+        quads.append(((br, tr, tl, bl), 1) if letter > 0 else ((bl, br, tr, tl), -1))
+        top[i], top[i + 1] = tl, tr
+    close = {top[p]: p + 1 for p in range(strands)}
+    crossings = [Crossing(tuple(close.get(a, a) for a in slots), sign) for slots, sign in quads]
+    used = {a for x in crossings for a in x.slots}
+    return Diagram(crossings, sum(p not in used for p in range(1, strands + 1)))
+
+
+@st.composite
+def braid_words(draw):
+    strands = draw(st.integers(2, 5))
+    generators = st.integers(1, strands - 1)
+    word = draw(st.lists(st.tuples(generators, st.sampled_from((1, -1))), max_size=10))
+    return strands, tuple(g * e for g, e in word)
+
 
 JONES_VALUES = {
     "0_1": q(e0=1),
@@ -116,17 +151,29 @@ J3_VALUES = {
 
 class TestKauffmanBracket:
     def test_trefoil_bracket_and_state_count(self):
-        br, states = kauffman_bracket(T["3_1"])
+        br, states = bracket_state_sum(T["3_1"])
         assert br == LaurentPoly("A", {-5: -1, 3: -1, 7: 1})
         assert states == 8
+        assert kauffman_bracket(T["3_1"])[0] == br
 
     def test_state_count_is_two_to_the_crossings(self):
         for name in ("0_1", "4_1", "6_1", "hopf", "chain3"):
             d = T[name]
-            assert kauffman_bracket(d)[1] == 2**d.n_crossings
+            assert bracket_state_sum(d)[1] == 2**d.n_crossings
 
     def test_unknot_bracket(self):
         assert kauffman_bracket(T["0_1"])[0] == LaurentPoly.constant("A", 1)
+
+    def test_contraction_work_count(self):
+        # twice the number of boundary matchings, summed over the crossings
+        assert kauffman_bracket(T["8_3"])[1] == 30
+        assert kauffman_bracket(braid_closure(2, (1,) * 15))[1] == 58
+
+    @given(braid_words())
+    @settings(max_examples=100, deadline=None)
+    def test_contraction_matches_state_sum_on_braid_closures(self, braid):
+        d = braid_closure(*braid)
+        assert kauffman_bracket(d)[0] == bracket_state_sum(d)[0]
 
 
 class TestJones:
@@ -135,9 +182,20 @@ class TestJones:
         assert jones(T[name]) == JONES_VALUES[name]
 
     def test_oracle_agreement_on_all_knots(self):
+        # the bracket determines jones; compare it on every row, link or
+        # knot, and on every crossing switch and oriented smoothing of it
         for name, d in T.items():
-            if d.n_components % 2 == 1:
-                assert jones(d) == jones_recursive(d), name
+            children = [f(d, i) for f in (switch_crossing, _smooth_oriented)
+                        for i in range(d.n_crossings)]
+            for k in (d, *children):
+                assert kauffman_bracket(k)[0] == bracket_state_sum(k)[0], name
+
+    def test_torus_knots_closed_form(self):
+        # V(T(2,n)) = t^((n-1)/2) (1 - t^3 - t^(n+1) + t^(n+2)) / (1 - t^2)
+        for n in range(3, 52, 2):
+            lhs = jones(braid_closure(2, (1,) * n)) * q(e0=1, e2=-1)
+            rhs = LaurentPoly("q", {0: 1, 3: -1, n + 1: -1, n + 2: 1}).shift((n - 1) // 2)
+            assert lhs == rhs, n
 
     def test_mirror_inverts_the_variable(self):
         for name in ("3_1", "4_1", "5_1", "6_1", "8_3"):
@@ -149,9 +207,7 @@ class TestJones:
                 jones(T[name])
 
     def test_odd_component_links_allowed(self):
-        val = jones(T["chain3"])
-        assert not val.is_zero()
-        assert val == jones_recursive(T["chain3"])
+        assert jones(T["chain3"]) == q(e1=1, e3=2, e5=1)
 
     def test_reduced_codes_of_the_same_knot(self):
         for a, b in (("3_1", "3_1k"), ("3_1", "3_1b"), ("4_1", "4_1k"),
