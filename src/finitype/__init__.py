@@ -69,7 +69,6 @@ from .goussarov import (
 from .invariants import (
     Invariant,
     InvariantError,
-    SkeinDepthError,
     c2,
     conway,
     evaluate_on_sum,
@@ -128,7 +127,6 @@ __all__ = [
     # invariants
     "Invariant",
     "InvariantError",
-    "SkeinDepthError",
     "kauffman_bracket",
     "jones",
     "conway",

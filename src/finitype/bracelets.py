@@ -21,7 +21,7 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .chord_algebra import ChordDiagram
-from .diagram import Diagram, parse_pd
+from .diagram import Diagram
 from .invariants import InvariantError, linking_matrix
 
 __all__ = [
@@ -102,12 +102,11 @@ class HopfPairBracelet:
 
     def to_link(self) -> Diagram:
         """PD realization: component k owns arcs 2k-1, 2k; pairs clasp."""
-        toks = []
+        quads = []
         for i, j in self.matching:
-            toks.append("X[%d,%d,%d,%d]" % (2 * i - 1, 2 * j - 1, 2 * i, 2 * j))
-            toks.append("X[%d,%d,%d,%d]" % (2 * j - 1, 2 * i - 1, 2 * j, 2 * i))
-        n = self.n_components
-        return parse_pd(f"components={n} arcs={2 * n} " + " ".join(toks))
+            quads.append((2 * i - 1, 2 * j - 1, 2 * i, 2 * j))
+            quads.append((2 * j - 1, 2 * i - 1, 2 * j, 2 * i))
+        return Diagram.from_quads(quads)
 
     def to_chord_diagram(self) -> ChordDiagram:
         """Components in cyclic order become points 0..2d-1."""

@@ -119,13 +119,36 @@ class Crossing:
         return Crossing((b, c, d, a), +1)
 
 
+class _ArcUnion:
+    """Union-find over arc labels (or component indices); count is the
+    number of classes."""
+
+    def __init__(self, arcs: Iterable[int]):
+        self.parent = {a: a for a in arcs}
+        self.count = len(self.parent)
+
+    def find(self, a: int) -> int:
+        p = self.parent
+        while p[a] != a:
+            p[a] = p[p[a]]
+            a = p[a]
+        return a
+
+    def union(self, a: int, b: int) -> None:
+        ra, rb = self.find(a), self.find(b)
+        if ra != rb:
+            self.parent[ra] = rb
+            self.count -= 1
+
+
 class Diagram:
     """An oriented link diagram: crossings plus crossingless free loops.
 
     Validation happens on construction: every arc label must occur exactly
-    twice, once as an incoming slot and once as an outgoing slot.  Component
-    structure and writhe are precomputed.  A diagram is never changed after
-    construction, so its canonical key is computed once and kept.
+    twice, once as an incoming slot and once as an outgoing slot, and there
+    must be at least one component.  Component structure and writhe are
+    precomputed.  A diagram is never changed after construction, so its
+    canonical key is computed once and kept.
     """
 
     __slots__ = ("crossings", "free_loops", "components", "arc_component", "writhe", "_key")
@@ -137,11 +160,22 @@ class Diagram:
         self.free_loops = free_loops
         self._validate_arcs()
         self.components: tuple[tuple[int, ...], ...] = self._trace_components()
+        if not self.components and not free_loops:
+            raise PDArcError("a diagram needs at least one component")
         self.arc_component: dict[int, int] = {
             arc: ci for ci, comp in enumerate(self.components) for arc in comp
         }
         self.writhe = sum(x.sign for x in self.crossings)
         self._key: str | None = None
+
+    @classmethod
+    def from_quads(cls, quads: Sequence[tuple[int, int, int, int]]) -> "Diagram":
+        """The diagram of PD slot quads, signs inferred from the orientation.
+
+        Raises PDArcError or PDOrientationError as parse_pd does.
+        """
+        quads = [tuple(q) for q in quads]
+        return cls([Crossing(q, s) for q, s in zip(quads, _infer_signs(quads))])
 
     # -- validation and structure -------------------------------------
 
@@ -220,24 +254,10 @@ class Diagram:
         """Connectivity of the 4-valent diagram graph (free loops split)."""
         if self.free_loops:
             return self.n_crossings == 0 and self.free_loops == 1
-        if not self.crossings:
-            return True  # empty diagram; vacuous
-        comp_of = self.arc_component
-        # union components that share a crossing
-        parent = list(range(len(self.components)))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        for x in self.crossings:
-            a = find(comp_of[x.under_in])
-            b = find(comp_of[x.over_in])
-            parent[a] = b
-        roots = {find(i) for i in range(len(self.components))}
-        return len(roots) == 1
+        uf = _ArcUnion(range(len(self.components)))
+        for i in range(self.n_crossings):
+            uf.union(*self.crossing_components(i))
+        return uf.count == 1
 
     # -- transformation helpers ---------------------------------------
 
@@ -423,28 +443,28 @@ def parse_pd(text: str) -> Diagram:
 
     Raises:
         PDSyntaxError: malformed token or preamble.
-        PDArcError: arc labels that do not occur exactly twice.
+        PDArcError: arc labels that do not occur exactly twice, or no
+            component at all.
         PDOrientationError: no consistent orientation assignment.
     """
     preamble, tokens = _split_tokens(text)
     quads = _parse_quads(tokens)
-    signs = _infer_signs(quads)
-    crossings = [Crossing(q, s) for q, s in zip(quads, signs)]
-    d = Diagram(crossings, 0)
     if preamble is None:
-        return d
+        return Diagram.from_quads(quads)
     ncomp, narcs = preamble
     if narcs != 2 * len(quads):
         raise PDSyntaxError(
             f"preamble declares {narcs} arcs but tokens define {2 * len(quads)}"
         )
+    if not quads:
+        return Diagram((), ncomp)
+    d = Diagram.from_quads(quads)
     traced = len(d.components)
     if ncomp < traced:
         raise PDSyntaxError(
             f"preamble declares {ncomp} components but crossings trace {traced}"
         )
-    free = ncomp - traced
-    return Diagram(crossings, free) if free else d
+    return Diagram(d.crossings, ncomp - traced) if ncomp > traced else d
 
 
 def serialize_pd(d: Diagram) -> str:

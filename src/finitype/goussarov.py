@@ -10,13 +10,16 @@ degenerates to the surviving strand running straight through.  This makes
 "take the detour / don't" a pure subset operation: resolve(S) depends
 only on S, which is the well-definedness the iterated differences need.
 
-All 2^m resolutions are built and validated eagerly at construction, and
-every resolution must be a knot (single component).
+All 2^m resolutions are built and validated eagerly at construction,
+straight from their slot quads with Diagram.from_quads, and every
+resolution must be a knot (single component).
 
-The two encodings implement the bridge between crossing switches and
-detours: encode_crossing_as_detours builds a 2-region family whose
-resolutions are K, K, K, switch(K, i), and encode_singular_as_bracelet
-chains one such pair per double point so that the 2^(2n+2)-term detour
+switch_family splices one switch-gadget pair per listed crossing; it is
+the only gadget builder, and the two encodings that bridge crossing
+switches and detours are cases of it.  encode_crossing_as_detours(K, i)
+is switch_family(K, (i,)), a 2-region family whose resolutions are K, K,
+K, switch(K, i); encode_singular_as_bracelet chains one pair per double
+point of the all-negative resolution, so that the 2^(2n+2)-term detour
 sum equals the 2^(n+1)-term resolution sum exactly.
 """
 
@@ -26,7 +29,7 @@ import re
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .diagram import Diagram, FormalSum, PDError, SingularDiagram, parse_pd
+from .diagram import Diagram, FormalSum, PDError, SingularDiagram, _ArcUnion
 from .invariants import Invariant, evaluate_on_sum
 from .vassiliev import TypeCheckCase, TypeCheckReport, resolve_all
 
@@ -138,24 +141,12 @@ class DetourFamily:
             present |= set(route.arcs)
             joins += list(route.joins)
 
-        parent = {a: a for a in present}
-
-        def find(x: int) -> int:
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        def union(x: int, y: int) -> None:
-            rx, ry = find(x), find(y)
-            if rx != ry:
-                parent[rx] = ry
-
+        uf = _ArcUnion(present)
         for u, v in joins:
             # a join whose arc is absent glues nothing; genuine dangling ends
             # are caught below when some class fails to close up
             if u in present and v in present:
-                union(u, v)
+                uf.union(u, v)
 
         kept: list[tuple[int, int, int, int]] = []
         for q in self.quads:
@@ -169,23 +160,21 @@ class DetourFamily:
             if pa and pb:
                 kept.append(q)
             elif pa:
-                union(a, c)
+                uf.union(a, c)
             elif pb:
-                union(b, d)
+                uf.union(b, d)
 
-        used = {find(a) for q in kept for a in q}
-        loops = {find(a) for a in present} - used
+        used = {uf.find(a) for q in kept for a in q}
+        loops = {uf.find(a) for a in present} - used
         if loops and (kept or len(loops) > 1):
             raise FamilyError(
                 f"state {self._state_name(mask)} leaves a closed loop with no crossings"
             )
+        if not kept:
+            return Diagram((), 1)
         relabel = {rep: i + 1 for i, rep in enumerate(sorted(used))}
-        toks = " ".join(
-            "X[%d,%d,%d,%d]" % tuple(relabel[find(a)] for a in q) for q in kept
-        )
-        text = f"components=1 arcs={2 * len(kept)} {toks}"
         try:
-            d = parse_pd(text if kept else "components=1 arcs=0")
+            d = Diagram.from_quads([[relabel[uf.find(a)] for a in q] for q in kept])
         except PDError as e:
             raise FamilyError(
                 f"state {self._state_name(mask)} is not a valid diagram: {e}"
@@ -441,16 +430,8 @@ def goussarov_type_check(
 # encodings
 
 
-def _fresh_labels(used: set[int], count: int) -> list[int]:
-    start = max(used, default=0)
-    return [start + i + 1 for i in range(count)]
-
-
 def _insert_pair(
-    quads: list[tuple[int, int, int, int]],
-    used: set[int],
-    i: int,
-    sign: int,
+    quads: list[tuple[int, int, int, int]], i: int, sign: int, top: int
 ) -> tuple[SwitchRegion, SwitchRegion]:
     """Splice the two-region switch gadget around crossing i (in place).
 
@@ -459,14 +440,12 @@ def _insert_pair(
     with the partner detour.  With both detours taken, the extra pair is a
     full twist that cancels against crossing i by one R2 move, leaving the
     switched crossing; with at most one taken, the gated crossings vanish
-    and the diagram is unchanged.
+    and the diagram is unchanged.  The new arcs are labelled top+1..top+8.
     """
-    a, b, c, d = quads[i]
+    a2, o2, u0, u1, u2, v0, v1, v2 = range(top + 1, top + 9)
     over_slot = 3 if sign > 0 else 1
-    o = quads[i][over_slot]
-    a2, o2, u0, u1, u2, v0, v1, v2 = _fresh_labels(used, 8)
-    used.update((a2, o2, u0, u1, u2, v0, v1, v2))
     q = list(quads[i])
+    a, o = q[0], q[over_slot]
     q[0] = a2
     q[over_slot] = o2
     quads[i] = tuple(q)
@@ -493,16 +472,9 @@ def encode_crossing_as_detours(k: Diagram, i: int) -> DetourFamily:
     """A 2-region family resolving to K, K, K, switch(K, i).
 
     Only the both-detours state braids; every other state is exactly K up
-    to arc renumbering.
+    to arc renumbering.  This is switch_family(k, (i,)).
     """
-    if not k.is_knot():
-        raise FamilyError("detour hosts must be knots")
-    if not 0 <= i < k.n_crossings:
-        raise IndexError(f"crossing index {i} out of range")
-    quads = [x.slots for x in k.crossings]
-    used = set(k.arcs())
-    r1, r2 = _insert_pair(quads, used, i, k.crossings[i].sign)
-    return DetourFamily(quads, (r1, r2))
+    return switch_family(k, (i,))
 
 
 def switch_family(k: Diagram, crossings: Iterable[int]) -> DetourFamily:
@@ -511,7 +483,8 @@ def switch_family(k: Diagram, crossings: Iterable[int]) -> DetourFamily:
     With p crossings this is a 2p-region family whose resolutions are the
     2^p switched versions of k: a crossing is switched exactly when both
     regions of its pair take the detour.  These are the stock examples for
-    vanishing (and sharpness) of iterated detour differences.
+    vanishing (and sharpness) of iterated detour differences, and both
+    encodings are cases of it.
     """
     if not k.is_knot():
         raise FamilyError("detour hosts must be knots")
@@ -519,12 +492,13 @@ def switch_family(k: Diagram, crossings: Iterable[int]) -> DetourFamily:
     if len(set(idx)) != len(idx):
         raise FamilyError("crossing indices must be distinct")
     quads = [x.slots for x in k.crossings]
-    used = set(k.arcs())
+    top = max(k.arcs(), default=0)
     regions: list[SwitchRegion] = []
     for i in idx:
         if not 0 <= i < k.n_crossings:
             raise IndexError(f"crossing index {i} out of range")
-        regions.extend(_insert_pair(quads, used, i, k.crossings[i].sign))
+        regions.extend(_insert_pair(quads, i, k.crossings[i].sign, top))
+        top += 8
     return DetourFamily(quads, regions)
 
 
@@ -534,16 +508,10 @@ def encode_singular_as_bracelet(k: SingularDiagram) -> DetourFamily:
     The no-detours state is the all-negative resolution; taking both
     detours of pair j flips double point j to its positive resolution, so
     the alternating detour sum telescopes to the full resolution sum.
+    This is switch_family of the all-negative resolution at the double
+    points, in increasing order.
     """
-    if not k.diagram.is_knot():
-        raise FamilyError("detour hosts must be knots")
-    base = k.resolved({i: -1 for i in k.marked})
-    quads = [x.slots for x in base.crossings]
-    used = set(base.arcs())
-    regions: list[SwitchRegion] = []
-    for i in sorted(k.marked):
-        regions.extend(_insert_pair(quads, used, i, -1))
-    return DetourFamily(quads, regions)
+    return switch_family(k.resolved({i: -1 for i in k.marked}), sorted(k.marked))
 
 
 @dataclass(frozen=True)

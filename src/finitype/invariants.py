@@ -23,12 +23,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable
 
-from .diagram import Diagram, FormalSum, switch_crossing
+from .diagram import Diagram, FormalSum, _ArcUnion, switch_crossing
 from .exact_math import LaurentPoly
 
 __all__ = [
     "InvariantError",
-    "SkeinDepthError",
     "kauffman_bracket",
     "jones",
     "conway",
@@ -46,31 +45,8 @@ class InvariantError(ValueError):
     """Raised when an invariant is evaluated outside its domain."""
 
 
-class SkeinDepthError(InvariantError):
-    """Skein recursion exceeded the configured depth cap."""
-
-
 # ---------------------------------------------------------------------------
 # Kauffman bracket / Jones
-
-
-class _ArcUnion:
-    def __init__(self, arcs):
-        self.parent = {a: a for a in arcs}
-        self.count = len(self.parent)
-
-    def find(self, a):
-        p = self.parent
-        while p[a] != a:
-            p[a] = p[p[a]]
-            a = p[a]
-        return a
-
-    def union(self, a, b):
-        ra, rb = self.find(a), self.find(b)
-        if ra != rb:
-            self.parent[ra] = rb
-            self.count -= 1
 
 
 # delta^k as (exponent, coefficient) pairs, for the 0, 1 or 2 loops that
@@ -171,12 +147,6 @@ def jones(d: Diagram) -> LaurentPoly:
 # Conway polynomial
 
 
-def _is_split(d: Diagram) -> bool:
-    if d.free_loops:
-        return d.n_crossings > 0 or d.free_loops > 1
-    return not d.is_connected() if d.crossings else False
-
-
 def _passages(d: Diagram) -> list[tuple[int, bool]]:
     """Crossing passages in traversal order as (crossing index, is_over),
     every component starting at its minimal arc."""
@@ -218,26 +188,21 @@ def _smooth_oriented(d: Diagram, i: int) -> Diagram:
     return Diagram(new_crossings, new_free)
 
 
-def conway(d: Diagram, *, max_depth: int = 64) -> LaurentPoly:
+def conway(d: Diagram) -> LaurentPoly:
     """Conway polynomial in z.
 
     Base cases: split diagrams give 0, descending diagrams give 1 for a
     knot and 0 for a multi-component link.  One skein step walks the whole
     switch chain toward the descending diagram iteratively and recurses
-    only into smoothings, so max_depth caps the smoothing depth (default
-    64, far above the sizes this library targets).
-
-    Raises:
-        SkeinDepthError: the smoothing recursion exceeded max_depth.
+    only into smoothings; each smoothing removes a crossing, so the
+    recursion is at most c deep.
     """
     z = LaurentPoly.monomial("z", 1)
 
-    def nabla(cur: Diagram, depth: int) -> LaurentPoly:
-        if depth > max_depth:
-            raise SkeinDepthError(f"skein recursion exceeded depth cap {max_depth}")
+    def nabla(cur: Diagram) -> LaurentPoly:
         acc = LaurentPoly.zero("z")
         while True:
-            if _is_split(cur):
+            if not cur.is_connected():
                 return acc
             bad = _first_bad(cur)
             if bad is None:
@@ -246,21 +211,21 @@ def conway(d: Diagram, *, max_depth: int = 64) -> LaurentPoly:
                 return acc
             sign = cur.crossings[bad].sign
             smoothed = _smooth_oriented(cur, bad)
-            acc = acc + z * nabla(smoothed, depth + 1).scale(sign)
+            acc = acc + z * nabla(smoothed).scale(sign)
             cur = switch_crossing(cur, bad)
 
-    return nabla(d, 0)
+    return nabla(d)
 
 
 # ---------------------------------------------------------------------------
 # coefficient extractions
 
 
-def c2(d: Diagram, **kw) -> Fraction:
+def c2(d: Diagram) -> Fraction:
     """Coefficient of z^2 in the Conway polynomial (knots only)."""
     if d.n_components != 1:
         raise InvariantError("c2 is defined for knots (single component)")
-    return conway(d, **kw).coefficient(2)
+    return conway(d).coefficient(2)
 
 
 def j3(d: Diagram) -> Fraction:

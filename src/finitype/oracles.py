@@ -17,9 +17,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .diagram import Diagram
+from .diagram import Diagram, _ArcUnion
 from .exact_math import LaurentPoly
-from .invariants import _ArcUnion
 
 __all__ = [
     "bracket_state_sum",

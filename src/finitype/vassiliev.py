@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import product
 from typing import Sequence
 
 from .diagram import Diagram, FormalSum, SingularDiagram, switch_crossing
@@ -52,30 +51,32 @@ def resolve_all(k: SingularDiagram) -> FormalSum:
 
     The result is a FormalSum of plain Diagrams with 2^n terms before
     cancellation; it equals any composition order of resolve_once, which is
-    what makes the once-differenced classes well defined.
+    what makes the once-differenced classes well defined.  Switching the
+    marked crossings of the stored diagram walks the same cube, so this is
+    the switch difference_sum at the marked crossings times the product of
+    their stored signs.
     """
     points = sorted(k.marked)
-    return FormalSum(
-        (k.resolved(dict(zip(points, pattern))), math.prod(pattern))
-        for pattern in product((1, -1), repeat=len(points))
-    )
+    sign = math.prod(k.diagram.crossings[i].sign for i in points)
+    return difference_sum(k.diagram, points).scale(sign)
 
 
 def difference_sum(k: Diagram, crossings: Sequence[int]) -> FormalSum:
-    """Signed sum over subsets S of `crossings`: (-1)^|S| * (k switched at S)."""
+    """Signed sum over subsets S of `crossings`: (-1)^|S| * (k switched at S).
+
+    The cube is expanded one crossing at a time: every term so far gains a
+    switched copy with the opposite sign, so 2^p - 1 switches build all 2^p
+    terms.
+    """
     idx = list(crossings)
     if len(set(idx)) != len(idx):
         raise ValueError("crossing indices must be distinct")
     for i in idx:
         if not 0 <= i < k.n_crossings:
             raise ValueError(f"crossing index {i} out of range")
-    terms = []
-    for picks in product((0, 1), repeat=len(idx)):
-        dgm = k
-        for i, take in zip(idx, picks):
-            if take:
-                dgm = switch_crossing(dgm, i)
-        terms.append((dgm, (-1) ** sum(picks)))
+    terms = [(k, 1)]
+    for i in idx:
+        terms += [(switch_crossing(d, i), -c) for d, c in terms]
     return FormalSum(terms)
 
 

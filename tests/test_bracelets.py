@@ -2,6 +2,7 @@
 
 import pytest
 
+from finitype import bracelets, diagram
 from finitype.bracelets import (
     BraceletError,
     CyclicLink,
@@ -99,6 +100,20 @@ class TestRealization:
         link = HopfPairBracelet.from_matching([(1, 2)]).to_link()
         assert linking_matrix(link) == [[0, 1], [1, 0]]
         assert serialize_pd(link) == "components=2 arcs=4 X[1,3,2,4] X[3,1,4,2]"
+
+    def test_link_built_without_parsing(self, monkeypatch):
+        calls = []
+        original = diagram.parse_pd
+
+        def counted(text):
+            calls.append(text)
+            return original(text)
+
+        for module in (diagram, bracelets):
+            monkeypatch.setattr(module, "parse_pd", counted, raising=False)
+        link = HopfPairBracelet.from_matching([(1, 4), (2, 3)]).to_link()
+        assert link.n_components == 4
+        assert calls == []
 
     def test_realize_returns_natural_cyclic_order(self):
         cl = realize_as_link([(1, 2), (3, 4)])

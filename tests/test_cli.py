@@ -71,6 +71,13 @@ class TestInvariant:
         assert rc == 2
         assert err.startswith("parse error:")
 
+    def test_zero_component_pd(self, capsys):
+        for name in ("conway", "jones", "c2"):
+            rc, out, err = run(capsys, "invariant", "--name", name, "--pd", "components=0 arcs=0")
+            assert rc == 2, name
+            assert out == ""
+            assert err.startswith("parse error:"), name
+
     def test_missing_table_row(self, capsys):
         rc, _, err = run(capsys, "invariant", "--name", "c2", "--pd", "knots.pdtab#zzz")
         assert rc == 2

@@ -82,6 +82,19 @@ class TestParsing:
             parse_pd("X[1,1,1,2] X[2,3,3,4]")  # arc 1 occurs 3 times
         with pytest.raises(PDArcError):
             parse_pd("X[1,2,3,4]")  # every arc occurs once
+        for text in ("", "components=0 arcs=0"):
+            with pytest.raises(PDArcError, match="at least one component"):
+                parse_pd(text)
+
+    def test_from_quads_matches_parse(self):
+        for name, d in bundled_table().items():
+            if d.crossings and not d.free_loops:
+                quads = [x.slots for x in d.crossings]
+                assert Diagram.from_quads(quads).crossings == d.crossings, name
+        with pytest.raises(PDOrientationError):
+            Diagram.from_quads([(1, 3, 2, 4), (1, 4, 2, 3)])
+        with pytest.raises(PDArcError):
+            Diagram.from_quads([])
 
     def test_orientation_conflict(self):
         # two crossings forcing arc 1 incoming (slot 0) at both ends

@@ -4,6 +4,7 @@ from fractions import Fraction
 
 import pytest
 
+from finitype import diagram, goussarov
 from finitype.diagram import mark_singular, switch_crossing
 from finitype.goussarov import (
     MAX_REGIONS,
@@ -69,6 +70,25 @@ class TestConstruction:
         crippled = Route(arcs=r0.route1.arcs[:2], joins=r0.route1.joins)
         with pytest.raises(FamilyError):
             DetourFamily(fam.quads, (SwitchRegion(r0.stubs, r0.route0, crippled), r1))
+
+    def test_link_state_rejected(self):
+        quads = [x.slots for x in T["hopf"].crossings]
+        with pytest.raises(FamilyError, match="has 2 components"):
+            DetourFamily(quads)
+
+    def test_resolutions_built_without_parsing(self, monkeypatch):
+        calls = []
+        original = diagram.parse_pd
+
+        def counted(text):
+            calls.append(text)
+            return original(text)
+
+        for module in (diagram, goussarov):
+            monkeypatch.setattr(module, "parse_pd", counted, raising=False)
+        fam = switch_family(T["4_1"], (0, 2))
+        assert fam.m == 4
+        assert calls == []
 
     def test_resolutions_renumbered(self):
         fam = encode_crossing_as_detours(T["3_1"], 0)

@@ -10,7 +10,6 @@ from finitype.diagram import Crossing, Diagram, FormalSum, mirror, parse_pd, swi
 from finitype.exact_math import LaurentPoly
 from finitype.invariants import (
     InvariantError,
-    SkeinDepthError,
     _smooth_oriented,
     c2,
     conway,
@@ -239,10 +238,6 @@ class TestConway:
     def test_split_links_vanish(self):
         assert conway(T["unlink2"]).is_zero()
         assert conway(parse_pd("components=3 arcs=0")).is_zero()
-
-    def test_depth_limit(self):
-        with pytest.raises(SkeinDepthError):
-            conway(T["8_3"], max_depth=2)
 
 
 class TestDerivedScalars:

@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finitype import diagram, vassiliev
 from finitype.diagram import Diagram, FormalSum, mark_singular, parse_pd, serialize_pd
 from finitype.invariants import evaluate_on_sum, get_invariant
 from finitype.tables import bundled_table
@@ -35,6 +36,24 @@ class TestKeyWork:
         monkeypatch.setattr(Diagram, "_relabelings", counted)
         vassiliev_difference(k, (0, 1, 2), get_invariant("c2"))
         assert len(searches) == 8
+
+    def test_cube_expanded_once(self, monkeypatch):
+        # 2^3 - 1 switches build the 3-crossing cube, for a plain diagram
+        # and for three double points alike
+        switches = []
+        original = diagram.switch_crossing
+
+        def counted(d, i):
+            switches.append(i)
+            return original(d, i)
+
+        for module in (diagram, vassiliev):
+            monkeypatch.setattr(module, "switch_crossing", counted)
+        vassiliev_difference(T["5_1"], (0, 1, 2), get_invariant("c2"))
+        assert len(switches) == 7
+        switches.clear()
+        resolve_all(mark_singular(T["4_1"], (0, 1, 3)))
+        assert len(switches) == 7
 
 
 class TestResolveOnce:
