@@ -37,24 +37,21 @@ __all__ = [
 MAX_DEGREE = 7
 
 
-def _canonical_word(word: Sequence[int]) -> tuple[int, ...]:
+def _relabel(word: Sequence[int]) -> tuple[int, ...]:
+    """The word with chord ids renamed 0, 1, ... in order of first appearance."""
+    rename: dict[int, int] = {}
+    return tuple([rename.setdefault(c, len(rename)) for c in word])
+
+
+def _rotations(word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
+    """Every rotation of the word, relabelled."""
+    for s in range(len(word)):
+        yield _relabel(word[s:] + word[:s])
+
+
+def _canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
     """Smallest rotation with ids renamed by first appearance."""
-    size = len(word)
-    if size == 0:
-        return ()
-    best = None
-    for s in range(size):
-        rename: dict[int, int] = {}
-        out = []
-        for k in range(size):
-            c = word[(s + k) % size]
-            if c not in rename:
-                rename[c] = len(rename)
-            out.append(rename[c])
-        cand = tuple(out)
-        if best is None or cand < best:
-            best = cand
-    return best
+    return min(_rotations(word), default=())
 
 
 @dataclass(frozen=True)
@@ -182,17 +179,20 @@ def _insert_two(word: Sequence[int], a: int, b: int, cid: int) -> tuple[int, ...
 _4T_SIGNS = (1, -1, 1, -1)
 
 
+@lru_cache(maxsize=None)
 def generate_4t(n: int) -> RelationSet:
-    """Four-term relations among degree-n diagrams.
+    """Four-term relations among degree-n diagrams, memoised per n.
 
     Each relation fixes a diagram of degree n-2, a fixed chord Y, and the
     far endpoint of a moving chord M; the four terms slide M's near
     endpoint across the four positions adjacent to Y's endpoints, with
     alternating signs.  Duplicate and vanishing relations are dropped.
+    Each term's basis index is looked up by its relabelled word in a table
+    of every relabelled rotation of every basis word.
     """
     _check_degree(n)
     basis = enumerate_diagrams(n)
-    index = {d: i for i, d in enumerate(basis)}
+    index = {w: i for i, d in enumerate(basis) for w in _rotations(d.word)}
     rows: dict[tuple[tuple[int, Fraction], ...], None] = {}
     if n >= 2:
         y, m = n - 2, n - 1  # chord ids above any base id
@@ -206,10 +206,7 @@ def generate_4t(n: int) -> RelationSet:
                     for far in range(length + 3):
                         row: Relation = {}
                         for gap, sign in zip(near, _4T_SIGNS):
-                            d = ChordDiagram.from_word(
-                                _insert_two(v, far, gap, m)
-                            )
-                            i = index[d]
+                            i = index[_relabel(_insert_two(v, far, gap, m))]
                             row[i] = row.get(i, Fraction(0)) + sign
                         norm = _normalize(row)
                         if norm is not None:
@@ -217,8 +214,9 @@ def generate_4t(n: int) -> RelationSet:
     return RelationSet("4T", basis, tuple(rows))
 
 
+@lru_cache(maxsize=None)
 def generate_fi(n: int) -> RelationSet:
-    """Framing independence: each diagram with an isolated chord is zero."""
+    """Framing independence, memoised per n: each diagram with an isolated chord is zero."""
     _check_degree(n)
     basis = enumerate_diagrams(n)
     rows = tuple(
@@ -244,6 +242,8 @@ def dim_a(n: int, *, framed: bool = False, order_seed: int | None = None) -> Wei
 
     order_seed, if given, shuffles both the diagram basis and the relation
     rows before the rank computation; the answer must not depend on it.
+    The relation rows are memoised per n, but every call builds and ranks
+    its own matrix in its own order.
     """
     _check_degree(n)
     basis = enumerate_diagrams(n)
@@ -251,15 +251,14 @@ def dim_a(n: int, *, framed: bool = False, order_seed: int | None = None) -> Wei
     if not framed:
         rel_rows += list(generate_fi(n).rows)
     cols = len(basis)
+    perm = list(range(cols))
     if order_seed is not None:
         rng = random.Random(order_seed)
-        perm = list(range(cols))
         rng.shuffle(perm)
-        rel_rows = [
-            tuple(sorted((perm[i], c) for i, c in row)) for row in rel_rows
-        ]
         rng.shuffle(rel_rows)
-    mat = SparseMatrix.from_rows([dict(row) for row in rel_rows], ncols=cols)
+    mat = SparseMatrix.from_rows(
+        [{perm[i]: c for i, c in row} for row in rel_rows], ncols=cols
+    )
     rank = mat.rank()
     return WeightSpaceReport(
         n=n,

@@ -4,13 +4,15 @@ the rationals.
 Everything in this module is exact.  Rational numbers are represented by
 :class:`fractions.Fraction` (always reduced, positive denominator), Laurent
 polynomials store a map from integer exponents to nonzero rational
-coefficients, and matrix ranks are computed by Gaussian elimination over
-Fraction entries with a deterministic pivot rule.  No floats anywhere.
+coefficients, and matrix ranks are computed by fraction-free elimination
+on rows scaled to integers, with a deterministic pivot rule.  No floats
+anywhere.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd
 from typing import Mapping
 
 __all__ = [
@@ -216,34 +218,53 @@ class SparseMatrix:
         return rows
 
     def rank(self) -> int:
-        """Exact rank by Gaussian elimination.
+        """Exact rank over Q by fraction-free elimination; ``entries`` is left as is.
 
-        The pivot column is always the smallest column index with a nonzero
-        entry among the remaining rows; the pivot row is the candidate with
-        the fewest nonzeros, ties broken by original row order.
+        Each row is scaled to integers and filed in a bucket under its
+        leading column.  Columns are walked left to right; every remaining
+        row leads at or after the current column, so its bucket holds
+        exactly the rows that contain it.  The pivot is the bucket's row
+        with the fewest nonzeros, ties broken by original row order.  Every
+        other row r of the bucket becomes (p_c*r - r_c*p) / content, which
+        clears the column and keeps the entries small integers, and is filed
+        again under its new leading column.
         """
-        rows = [row for row in self.row_dicts() if row]
+        buckets: dict[int, list[tuple[int, dict[int, int]]]] = {}
+        for i, row in enumerate(self.row_dicts()):
+            if row:
+                scale = 1
+                for v in row.values():
+                    scale = scale * v.denominator // gcd(scale, v.denominator)
+                for c, v in row.items():
+                    row[c] = v.numerator * (scale // v.denominator)
+                buckets.setdefault(min(row), []).append((i, row))
         rank = 0
-        while rows:
-            pivot_col = min(min(row) for row in rows)
-            candidates = [i for i, row in enumerate(rows) if pivot_col in row]
-            pick = min(candidates, key=lambda i: (len(rows[i]), i))
-            prow = rows.pop(pick)
-            pval = prow[pivot_col]
+        for col in range(self.ncols):
+            bucket = buckets.pop(col, None)
+            if not bucket:
+                continue
+            pick = min(range(len(bucket)), key=lambda k: (len(bucket[k][1]), bucket[k][0]))
+            _, prow = bucket.pop(pick)
+            pval = prow[col]
             rank += 1
-            reduced: list[dict[int, Fraction]] = []
-            for row in rows:
-                if pivot_col in row:
-                    factor = row[pivot_col] / pval
-                    for c, v in prow.items():
-                        nv = row.get(c, Fraction(0)) - factor * v
-                        if nv == 0:
-                            row.pop(c, None)
-                        else:
-                            row[c] = nv
+            for i, row in bucket:
+                g = gcd(pval, row[col])
+                a, b = pval // g, row[col] // g
+                if a != 1:
+                    for c in row:
+                        row[c] *= a
+                for c, v in prow.items():
+                    nv = row.get(c, 0) - b * v
+                    if nv:
+                        row[c] = nv
+                    else:
+                        del row[c]
                 if row:
-                    reduced.append(row)
-            rows = reduced
+                    content = gcd(*row.values())
+                    if content != 1:
+                        for c in row:
+                            row[c] //= content
+                    buckets.setdefault(min(row), []).append((i, row))
         return rank
 
     def transpose(self) -> "SparseMatrix":

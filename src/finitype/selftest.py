@@ -262,6 +262,12 @@ def criterion_6() -> CriterionResult:
 # 7. chord diagram counts and weight-space dimensions
 
 
+# Bar-Natan, "On the Vassiliev knot invariants", Topology 34 (1995); the framed
+# dims are the prefix sums of the unframed ones, since A^fr = A (x) Q[theta].
+UNFRAMED_DIMS = (1, 0, 1, 1, 3, 4, 9)
+FRAMED_DIMS = (1, 1, 2, 3, 6, 10, 19)
+
+
 def criterion_7() -> CriterionResult:
     checks = [("enumerate(3) has 5 diagrams", len(enumerate_diagrams(3)) == 5)]
     for n in range(7):
@@ -271,12 +277,13 @@ def criterion_7() -> CriterionResult:
                 len(enumerate_diagrams(n)) == count_diagrams_burnside(n),
             )
         )
-    for n, want in ((0, 1), (2, 1), (3, 1)):
-        checks.append((f"dim_a({n}) = {want}", dim_a(n).dim == want))
     for n in range(7):
         base = dim_a(n).dim
+        checks.append((f"dim_a({n}) = {UNFRAMED_DIMS[n]}", base == UNFRAMED_DIMS[n]))
         stable = all(dim_a(n, order_seed=seed).dim == base for seed in (1, 2))
         checks.append((f"dim_a({n}) shuffle-invariant", stable))
+        framed = dim_a(n, framed=True).dim
+        checks.append((f"dim_a({n}, framed) = {FRAMED_DIMS[n]}", framed == FRAMED_DIMS[n]))
     ok, bad = _collect(checks)
     return CriterionResult(
         7, "chord counts match the pairing oracle; dims pinned and order-independent",

@@ -21,6 +21,8 @@ RAW_COUNTS = {0: 1, 1: 1, 2: 3, 3: 15, 4: 105, 5: 945}
 ORBIT_COUNTS = {0: 1, 1: 1, 2: 2, 3: 5, 4: 18, 5: 105, 6: 902}
 UNFRAMED_DIMS = {0: 1, 1: 0, 2: 1, 3: 1, 4: 3, 5: 4, 6: 9}
 FRAMED_DIMS = {0: 1, 1: 1, 2: 2, 3: 3, 4: 6, 5: 10, 6: 19}
+COUNT_4T = {0: 0, 1: 0, 2: 0, 3: 2, 4: 25, 5: 366, 6: 4477}
+COUNT_FI = {0: 0, 1: 1, 2: 1, 3: 3, 4: 11, 5: 69, 6: 602}
 
 
 class TestChordDiagram:
@@ -147,6 +149,31 @@ class TestRelations:
 
     def test_fi_count_at_degree_three(self):
         assert len(generate_fi(3)) == 3
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_relation_counts(self, n):
+        assert len(generate_4t(n)) == COUNT_4T[n]
+        assert len(generate_fi(n)) == COUNT_FI[n]
+
+    def test_relations_are_memoised_per_degree(self):
+        assert generate_4t(5) is generate_4t(5)
+        assert generate_fi(5) is generate_fi(5)
+
+    def test_relation_terms_are_found_without_canonicalizing(self, monkeypatch):
+        enumerate_diagrams(3)
+        enumerate_diagrams(5)
+        calls = []
+        from_word = ChordDiagram.from_word.__func__
+
+        def counted(cls, word):
+            calls.append(word)
+            return from_word(cls, word)
+
+        monkeypatch.setattr(ChordDiagram, "from_word", classmethod(counted))
+        rows = generate_4t.__wrapped__(5).rows
+        generate_fi.__wrapped__(5)
+        assert calls == []
+        assert rows == generate_4t(5).rows
 
     def test_as_formal_sums(self):
         for row in generate_4t(3).rows:

@@ -100,7 +100,12 @@ def _dense_rank(rows, ncols):
     return rank
 
 
-row_strategy = st.dictionaries(st.integers(0, 5), st.integers(-4, 4).map(Fraction), max_size=4)
+RANK_COLS = 8
+row_strategy = st.dictionaries(
+    st.integers(0, RANK_COLS - 1),
+    st.builds(Fraction, st.integers(-4, 4), st.integers(1, 6)),
+    max_size=RANK_COLS,
+)
 
 
 class TestSparseMatrix:
@@ -120,10 +125,23 @@ class TestSparseMatrix:
         with pytest.raises(IndexError):
             m[2, 0] = 1
 
-    @given(st.lists(row_strategy, max_size=6))
+    @given(st.lists(row_strategy, max_size=10))
     @settings(max_examples=80, deadline=None)
     def test_rank_matches_dense_oracle(self, rows):
-        m = SparseMatrix.from_rows([dict(r) for r in rows], 6)
-        expect = _dense_rank(rows, 6)
+        m = SparseMatrix.from_rows([dict(r) for r in rows], RANK_COLS)
+        before = dict(m.entries)
+        expect = _dense_rank(rows, RANK_COLS)
         assert m.rank() == expect
+        assert m.entries == before
         assert m.transpose().rank() == expect
+
+    def test_rank_clears_denominators_and_content(self):
+        # rows 2 and 3 are 3/2 and -1/6 times row 1; row 4 is independent only
+        # through its last column, so each elimination step must stay exact
+        rows = [
+            {0: Fraction(2, 3), 1: Fraction(1, 2), 2: Fraction(5)},
+            {0: Fraction(1), 1: Fraction(3, 4), 2: Fraction(15, 2)},
+            {0: Fraction(-1, 9), 1: Fraction(-1, 12), 2: Fraction(-5, 6)},
+            {0: Fraction(4), 1: Fraction(3), 2: Fraction(30), 3: Fraction(1, 5)},
+        ]
+        assert SparseMatrix.from_rows(rows, 4).rank() == 2
