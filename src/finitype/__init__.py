@@ -79,7 +79,6 @@ from .invariants import (
     kauffman_bracket,
     linking_matrix,
 )
-from .selftest import CRITERIA, CriterionResult, run_criterion, run_selftest
 from .tables import (
     SuiteCase,
     TableError,
@@ -184,9 +183,4 @@ __all__ = [
     "resolve_diagram_ref",
     "SuiteCase",
     "load_suite",
-    # acceptance suite
-    "CriterionResult",
-    "CRITERIA",
-    "run_criterion",
-    "run_selftest",
 ]

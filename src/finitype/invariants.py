@@ -5,22 +5,27 @@ jones
     a time, one polynomial per boundary matching), writhe-corrected,
     returned as a Laurent polynomial in q with the unknot normalized to 1.
 conway
-    Conway polynomial in z by the skein relation
-    nabla(L+) - nabla(L-) = z * nabla(L0), with descending diagrams and
-    split diagrams as base cases.
+    Conway polynomial in z.  Knots: the Alexander matrix of the Wirtinger
+    arcs, one exact integer determinant at a large power of two, read
+    back as the coefficients of Delta(t) and rewritten in z^2 = t - 2 +
+    t^-1.  Links: the skein relation nabla(L+) - nabla(L-) = z * nabla(L0)
+    layers the components until the diagram is split, and recurses on the
+    smoothings, which have one component fewer.
 c2, j3
     The degree-2 coefficient of conway and the x^3 coefficient of
     jones(e^x); the first two nontrivial perturbative coefficients.
 linking_matrix
     Symmetric matrix of pairwise linking numbers of link components.
 
-All computations are exact (Fractions / integer-exponent Laurent maps).
+All computations are exact (integers, Fractions, integer-exponent Laurent
+maps).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import zip_longest
 from typing import Callable
 
 from .diagram import Diagram, FormalSum, _ArcUnion, switch_crossing
@@ -147,26 +152,6 @@ def jones(d: Diagram) -> LaurentPoly:
 # Conway polynomial
 
 
-def _passages(d: Diagram) -> list[tuple[int, bool]]:
-    """Crossing passages in traversal order as (crossing index, is_over),
-    every component starting at its minimal arc."""
-    where: dict[int, tuple[int, bool]] = {}
-    for i, x in enumerate(d.crossings):
-        where[x.under_in] = (i, False)
-        where[x.over_in] = (i, True)
-    return [where[arc] for comp in d.components for arc in comp]
-
-
-def _first_bad(d: Diagram) -> int | None:
-    seen: set[int] = set()
-    for i, over in _passages(d):
-        if i not in seen:
-            seen.add(i)
-            if not over:
-                return i
-    return None
-
-
 def _smooth_oriented(d: Diagram, i: int) -> Diagram:
     """Orientation-respecting smoothing of crossing i."""
     x = d.crossings[i]
@@ -188,33 +173,122 @@ def _smooth_oriented(d: Diagram, i: int) -> Diagram:
     return Diagram(new_crossings, new_free)
 
 
+def _det(m: list[list[int]]) -> int:
+    """Exact integer determinant by fraction-free (Bareiss) elimination.
+
+    A row with 0 in the pivot column would only be rescaled by
+    pivot / previous pivot, so that step is deferred: base[i] is the pivot
+    that row i's entries are currently over, and each division is exact.
+    """
+    n = len(m)
+    sign, prev = 1, 1
+    base = [1] * n
+    for k in range(n - 1):
+        if not m[k][k]:
+            r = next((r for r in range(k + 1, n) if m[r][k]), None)
+            if r is None:
+                return 0
+            m[k], m[r] = m[r], m[k]
+            base[k], base[r] = base[r], base[k]
+            sign = -sign
+        top = m[k]
+        if base[k] != prev:
+            top = [a * prev // base[k] for a in top]
+        pivot = top[k]
+        for i in range(k + 1, n):
+            rk = m[i][k]
+            if rk:
+                b = base[i]
+                m[i] = [(pivot * x - rk * y) // b for x, y in zip(m[i], top)]
+                base[i] = pivot
+        prev = pivot
+    return sign * m[-1][-1] * prev // base[-1] if n else 1
+
+
+def _alexander(d: Diagram) -> list[int]:
+    """Alexander polynomial of a knot diagram with c >= 1 crossings.
+
+    Returns its coefficients from t^0 up, with the t^k factor stripped and
+    the sign fixed so that Delta(1) = 1.  The minor of the Alexander matrix
+    is one integer determinant at t = 2^B, B = 2c + 8: every row's entries
+    have coefficient l1-norm at most 4, so each coefficient of the minor
+    is below 4^(c-1) in absolute value and is one signed base-2^B digit.
+    """
+    arcs = d.arcs()
+    uf = _ArcUnion(arcs)
+    for x in d.crossings:
+        uf.union(x.over_in, x.over_out)
+    gen = {r: k for k, r in enumerate(sorted({uf.find(a) for a in arcs}))}
+    bits = 2 * d.n_crossings + 8
+    t = 1 << bits
+    rows = []
+    for x in d.crossings[:-1]:  # c Wirtinger arcs: drop the last row and column
+        into, out = (x.under_in, x.under_out) if x.sign > 0 else (x.under_out, x.under_in)
+        row = [0] * len(gen)
+        row[gen[uf.find(x.over_in)]] += 1 - t
+        row[gen[uf.find(into)]] += t
+        row[gen[uf.find(out)]] -= 1
+        rows.append(row[:-1])
+    det = _det(rows)
+    coeffs = []
+    while det:
+        digit = det % t
+        if digit >= t >> 1:
+            digit -= t
+        coeffs.append(digit)
+        det = (det - digit) >> bits
+    while not coeffs[0]:
+        coeffs.pop(0)
+    sign = sum(coeffs)
+    return [sign * a for a in coeffs]
+
+
+def _conway_knot(d: Diagram) -> LaurentPoly:
+    """Conway polynomial of a knot from its symmetric Alexander polynomial.
+
+    Delta(t) = a_0 + sum_j a_j (t^j + t^-j), and t^j + t^-j = T_j(u) with
+    u = t + t^-1 follows T_{j+1} = u T_j - T_{j-1}; the recursion runs
+    directly in w = z^2 = u - 2.
+    """
+    if not d.n_crossings:
+        return LaurentPoly.constant("z", 1)
+    coeffs = _alexander(d)
+    m = len(coeffs) // 2
+    acc = [coeffs[m]]
+    prev, cur = [2], [2, 1]  # T_0 = 2 and T_1 = u = w + 2, as lists in w
+    for a in coeffs[m + 1:]:
+        acc = [x + a * y for x, y in zip_longest(acc, cur, fillvalue=0)]
+        prev, cur = cur, [
+            x + 2 * y - p for x, y, p in zip_longest([0] + cur, cur, prev, fillvalue=0)
+        ]
+    return LaurentPoly("z", {2 * k: c for k, c in enumerate(acc)})
+
+
 def conway(d: Diagram) -> LaurentPoly:
     """Conway polynomial in z.
 
-    Base cases: split diagrams give 0, descending diagrams give 1 for a
-    knot and 0 for a multi-component link.  One skein step walks the whole
-    switch chain toward the descending diagram iteratively and recurses
-    only into smoothings; each smoothing removes a crossing, so the
-    recursion is at most c deep.
+    Knots go through their Alexander polynomial in one exact integer
+    determinant.  Links are layered down to knots by the skein relation
+    nabla(L+) - nabla(L-) = z * nabla(L0): wherever a lower-index
+    component passes under a higher-index one, the smoothing's term is
+    added and the crossing is switched.  The layered diagram that remains
+    is split and contributes 0, and each smoothing merges two components,
+    so the recursion ends at knots after mu - 1 levels; its cost grows
+    like c^(mu - 1).  Free loops next to other components give 0.
     """
+    if d.n_components == 1:
+        return _conway_knot(d)
+    acc = LaurentPoly.zero("z")
+    if d.free_loops:
+        return acc
     z = LaurentPoly.monomial("z", 1)
-
-    def nabla(cur: Diagram) -> LaurentPoly:
-        acc = LaurentPoly.zero("z")
-        while True:
-            if not cur.is_connected():
-                return acc
-            bad = _first_bad(cur)
-            if bad is None:
-                if cur.n_components == 1:
-                    return acc + LaurentPoly.constant("z", 1)
-                return acc
-            sign = cur.crossings[bad].sign
-            smoothed = _smooth_oriented(cur, bad)
-            acc = acc + z * nabla(smoothed).scale(sign)
-            cur = switch_crossing(cur, bad)
-
-    return nabla(d)
+    cur = d
+    for i, x in enumerate(d.crossings):
+        under, over = d.crossing_components(i)
+        if under < over:
+            acc = acc + z * conway(_smooth_oriented(cur, i)).scale(x.sign)
+            cur = switch_crossing(cur, i)
+    return acc
 
 
 # ---------------------------------------------------------------------------

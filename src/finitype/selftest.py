@@ -34,7 +34,7 @@ from .goussarov import (
     theorem1_identity_check,
 )
 from .invariants import conway, get_invariant, invariant_names, jones, kauffman_bracket
-from .oracles import bracket_state_sum, count_diagrams_burnside
+from .oracles import bracket_state_sum, conway_skein, count_diagrams_burnside
 from .tables import bundled_suite_path, bundled_table, load_suite
 from .vassiliev import (
     resolve_all,
@@ -66,11 +66,12 @@ def _collect(checks: list[tuple[str, bool]]) -> tuple[bool, tuple[str, ...]]:
 
 
 # ---------------------------------------------------------------------------
-# 1. invariant engine against the state-sum bracket and published values
+# 1. invariant engine against the state-sum bracket, the skein and published
+#    values
 
 
 # Conway polynomials from the knot tables (Chmutov-Duzhin-Mostovoy 2012).
-# The Hopf link is the one whose odd z-power catches a sign slip in the
+# The Hopf link is the one whose odd z-power catches a sign slip in a
 # skein step; knot polynomials are even in z and would not.
 _CONWAY_PINS: dict[str, str] = {
     "3_1": "1 + z^2",
@@ -98,6 +99,8 @@ def criterion_1() -> CriterionResult:
         ))
     for name, want in _CONWAY_PINS.items():
         checks.append((f"conway({name}) = {want} (published)", str(conway(table[name])) == want))
+    for name, d in table.items():
+        checks.append((f"conway({name}) = skein oracle", conway(d) == conway_skein(d)))
     ok, bad = _collect(checks)
     return CriterionResult(1, "jones/conway exact and equal to independent oracles", ok, bad)
 

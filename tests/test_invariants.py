@@ -3,9 +3,10 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from finitype import invariants
 from finitype.diagram import Crossing, Diagram, FormalSum, mirror, parse_pd, switch_crossing
 from finitype.exact_math import LaurentPoly
 from finitype.invariants import (
@@ -21,7 +22,7 @@ from finitype.invariants import (
     kauffman_bracket,
     linking_matrix,
 )
-from finitype.oracles import bracket_state_sum
+from finitype.oracles import bracket_state_sum, conway_skein
 from finitype.tables import bundled_table
 
 
@@ -72,10 +73,10 @@ def braid_closure(strands: int, word) -> Diagram:
 
 
 @st.composite
-def braid_words(draw):
-    strands = draw(st.integers(2, 5))
+def braid_words(draw, max_strands=5, max_size=10):
+    strands = draw(st.integers(2, max_strands))
     generators = st.integers(1, strands - 1)
-    word = draw(st.lists(st.tuples(generators, st.sampled_from((1, -1))), max_size=10))
+    word = draw(st.lists(st.tuples(generators, st.sampled_from((1, -1))), max_size=max_size))
     return strands, tuple(g * e for g, e in word)
 
 
@@ -238,6 +239,34 @@ class TestConway:
     def test_split_links_vanish(self):
         assert conway(T["unlink2"]).is_zero()
         assert conway(parse_pd("components=3 arcs=0")).is_zero()
+
+    def test_torus_skein_recursion(self):
+        # all crossings of the closure T(2,n) of sigma_1^n are positive;
+        # switching one gives T(2,n-2) and smoothing one gives T(2,n-1)
+        vals = [conway(braid_closure(2, (1,) * n)) for n in range(52)]
+        assert vals[0].is_zero() and vals[1] == z(e0=1)
+        for n in range(2, 52):
+            assert vals[n] == z(e1=1) * vals[n - 1] + vals[n - 2], n
+
+    @settings(max_examples=120, deadline=None)
+    @given(braid_words(max_strands=4, max_size=12))
+    def test_matches_skein_oracle_on_braid_closures(self, braid):
+        d = braid_closure(*braid)
+        assume(d.n_components <= 3)
+        assert conway(d) == conway_skein(d)
+
+    def test_knots_take_no_skein_step(self, monkeypatch):
+        calls = []
+
+        def counting(d, i):
+            calls.append(i)
+            return switch_crossing(d, i)
+
+        monkeypatch.setattr(invariants, "switch_crossing", counting)
+        for d in T.values():
+            if d.is_knot():
+                conway(d)
+        assert calls == []
 
 
 class TestDerivedScalars:
