@@ -49,6 +49,14 @@ def _rotations(word: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
         yield _relabel(word[s:] + word[:s])
 
 
+def _pairs_word(pairs: Sequence[tuple[int, int]]) -> list[int]:
+    """The word with chord id k at both endpoints of the k-th pair."""
+    word = [0] * (2 * len(pairs))
+    for cid, (i, j) in enumerate(pairs):
+        word[i] = word[j] = cid
+    return word
+
+
 def _canonical_word(word: tuple[int, ...]) -> tuple[int, ...]:
     """Smallest rotation with ids renamed by first appearance."""
     return min(_rotations(word), default=())
@@ -79,10 +87,7 @@ class ChordDiagram:
                 f"endpoints must be exactly 0..{2 * len(pairs) - 1}, "
                 f"got {sorted(positions)}"
             )
-        word = [0] * (2 * len(pairs))
-        for cid, (i, j) in enumerate(pairs):
-            word[i] = word[j] = cid
-        return cls.from_word(word)
+        return cls.from_word(_pairs_word(pairs))
 
     @property
     def n(self) -> int:
@@ -134,9 +139,17 @@ def _check_degree(n: int) -> None:
 
 @lru_cache(maxsize=None)
 def enumerate_diagrams(n: int) -> tuple[ChordDiagram, ...]:
-    """All degree-n chord diagrams, canonical and sorted."""
+    """All degree-n chord diagrams, canonical and sorted; a matching whose
+    relabelled word is a rotation of one already kept is skipped."""
     _check_degree(n)
-    out = {ChordDiagram.from_pairs(m) for m in _matchings(tuple(range(2 * n)))}
+    seen: set[bytes] = set()  # relabelled rotations, as bytes to keep the peak small
+    out = []
+    for m in _matchings(tuple(range(2 * n))):
+        word = _relabel(_pairs_word(m))
+        if bytes(word) not in seen:
+            d = ChordDiagram.from_word(word)
+            seen.update(map(bytes, _rotations(d.word)))
+            out.append(d)
     return tuple(sorted(out))
 
 

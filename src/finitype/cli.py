@@ -33,7 +33,6 @@ from .goussarov import (
     theorem1_identity_check,
 )
 from .invariants import InvariantError, get_invariant, invariant_names, linking_matrix
-from .selftest import CRITERIA, run_selftest
 from .tables import TableError, load_suite, resolve_diagram_ref
 from .vassiliev import vassiliev_type_check
 
@@ -276,6 +275,8 @@ def _cmd_bracelet(args) -> int:
 
 
 def _cmd_selftest(args) -> int:
+    from .selftest import CRITERIA, run_selftest
+
     if not args.json:
         return run_selftest()
     results = [fn() for fn in CRITERIA]

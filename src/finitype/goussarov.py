@@ -10,9 +10,10 @@ degenerates to the surviving strand running straight through.  This makes
 "take the detour / don't" a pure subset operation: resolve(S) depends
 only on S, which is the well-definedness the iterated differences need.
 
-All 2^m resolutions are built and validated eagerly at construction,
-straight from their slot quads with Diagram.from_quads, and every
-resolution must be a knot (single component).
+All 2^m states are resolved and checked eagerly at construction.  States
+whose relabelled slot quads agree share one Diagram, built once with
+Diagram.from_quads: a switch family on p crossings builds 2^p diagrams
+for its 2^(2p) states.  Every resolution must be a knot.
 
 switch_family splices one switch-gadget pair per listed crossing; it is
 the only gadget builder, and the two encodings that bridge crossing
@@ -35,6 +36,7 @@ from .vassiliev import TypeCheckCase, TypeCheckReport, resolve_all
 
 __all__ = [
     "FamilyError",
+    "MAX_REGIONS",
     "Route",
     "SwitchRegion",
     "DetourFamily",
@@ -87,7 +89,9 @@ def _renumber(d: Diagram) -> Diagram:
 
 
 class DetourFamily:
-    """Host crossings plus m switch regions; immutable after construction."""
+    """Host crossings plus m switch regions; immutable after construction.
+
+    States with equal relabelled quads share one Diagram and its key."""
 
     __slots__ = ("quads", "host_joins", "regions", "host_arcs", "_resolutions", "_key")
 
@@ -126,20 +130,23 @@ class DetourFamily:
                 raise FamilyError(f"stub arcs {sorted(bad)} are not host arcs")
         self._resolutions: dict[int, Diagram] = {}
         self._key: str | None = None
+        built: dict[tuple[tuple[int, ...], ...], Diagram] = {}
         for mask in range(1 << len(self.regions)):
-            self._resolutions[mask] = self._build(mask)
+            self._resolutions[mask] = self._build(mask, built)
 
     @property
     def m(self) -> int:
         return len(self.regions)
 
-    def _build(self, mask: int) -> Diagram:
+    def _build(self, mask: int, built: dict) -> Diagram:
+        """The resolution of mask.  States are checked one by one, but
+        states whose relabelled quads agree share the Diagram in built."""
         present = set(self.host_arcs)
         joins = list(self.host_joins)
         for i, r in enumerate(self.regions):
             route = r.route1 if mask >> i & 1 else r.route0
-            present |= set(route.arcs)
-            joins += list(route.joins)
+            present.update(route.arcs)
+            joins += route.joins
 
         uf = _ArcUnion(present)
         for u, v in joins:
@@ -151,8 +158,8 @@ class DetourFamily:
         kept: list[tuple[int, int, int, int]] = []
         for q in self.quads:
             a, b, c, d = q
-            pa, pb, pc, pd = (x in present for x in q)
-            if pa != pc or pb != pd:
+            pa, pb = a in present, b in present
+            if pa != (c in present) or pb != (d in present):
                 raise FamilyError(
                     f"crossing X[{a},{b},{c},{d}] is half-present in state "
                     f"{self._state_name(mask)}"
@@ -164,17 +171,25 @@ class DetourFamily:
             elif pb:
                 uf.union(b, d)
 
-        used = {uf.find(a) for q in kept for a in q}
-        loops = {uf.find(a) for a in present} - used
+        root = {a: uf.find(a) for a in present}
+        used = {root[a] for q in kept for a in q}
+        loops = set(root.values()) - used
         if loops and (kept or len(loops) > 1):
             raise FamilyError(
                 f"state {self._state_name(mask)} leaves a closed loop with no crossings"
             )
-        if not kept:
-            return Diagram((), 1)
         relabel = {rep: i + 1 for i, rep in enumerate(sorted(used))}
+        quads = tuple(tuple(relabel[root[a]] for a in q) for q in kept)
+        if quads not in built:
+            built[quads] = self._diagram(mask, quads)
+        return built[quads]
+
+    def _diagram(self, mask: int, quads: tuple[tuple[int, ...], ...]) -> Diagram:
+        """The renumbered knot of one state's relabelled quads."""
+        if not quads:
+            return Diagram((), 1)
         try:
-            d = Diagram.from_quads([[relabel[uf.find(a)] for a in q] for q in kept])
+            d = Diagram.from_quads(quads)
         except PDError as e:
             raise FamilyError(
                 f"state {self._state_name(mask)} is not a valid diagram: {e}"

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from finitype.chord_algebra import (
     MAX_DEGREE,
     ChordDiagram,
+    _matchings,
     dim_a,
     enumerate_diagrams,
     generate_4t,
@@ -98,6 +99,24 @@ class TestEnumeration:
             ds = enumerate_diagrams(n)
             assert list(ds) == sorted(ds)
             assert len(set(ds)) == len(ds)
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_one_canonicalization_per_rotation_class(self, n, monkeypatch):
+        # every matching canonicalized on its own is the oracle
+        oracle = sorted(
+            {ChordDiagram.from_pairs(m) for m in _matchings(tuple(range(2 * n)))}
+        )
+        calls = []
+        original = ChordDiagram.from_word
+
+        def counted(cls, word):
+            calls.append(word)
+            return original(word)
+
+        monkeypatch.setattr(ChordDiagram, "from_word", classmethod(counted))
+        result = enumerate_diagrams.__wrapped__(n)
+        assert list(result) == oracle
+        assert len(calls) == len(oracle)
 
     def test_degree_cap(self):
         with pytest.raises(ValueError):

@@ -1,11 +1,17 @@
-"""End-to-end command-line coverage via in-process ``main`` calls."""
+"""End-to-end command-line coverage via in-process ``main`` calls, plus two
+checks in a fresh interpreter (``python -m finitype``, lazy imports)."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import finitype
 from finitype.cli import main
-from finitype.diagram import parse_pd
+from finitype.diagram import parse_pd, serialize_pd
 from finitype.goussarov import parse_family, serialize_family, switch_family
 from finitype.invariants import get_invariant, linking_matrix
 from finitype.tables import bundled_table
@@ -15,6 +21,15 @@ def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
     return rc, captured.out, captured.err
+
+
+def run_python(*argv):
+    """A fresh interpreter with the finitype under test on its path."""
+    src = str(Path(finitype.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    return subprocess.run(
+        [sys.executable, *argv], capture_output=True, text=True, env=env, timeout=60
+    )
 
 
 @pytest.fixture()
@@ -377,6 +392,18 @@ class TestTopLevel:
         assert first == second
         keys = list(json.loads(first[1]).keys())
         assert keys == sorted(keys)
+
+
+    def test_runs_as_a_module(self):
+        pd = bundled_table()["3_1"]
+        proc = run_python("-m", "finitype", "invariant", "--name", "c2", "--pd", serialize_pd(pd))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "1\n"
+
+    def test_selftest_loaded_only_by_its_command(self):
+        proc = run_python("-c", "import sys, finitype.cli; print('finitype.selftest' in sys.modules)")
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "False\n"
 
 
 class TestSelftestCommand:

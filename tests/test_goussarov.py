@@ -1,11 +1,12 @@
 """Detour families: construction, freezing, encodings, difference sums."""
 
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 
 from finitype import diagram, goussarov
-from finitype.diagram import mark_singular, switch_crossing
+from finitype.diagram import Diagram, mark_singular, parse_pd, serialize_pd, switch_crossing
 from finitype.goussarov import (
     MAX_REGIONS,
     DetourFamily,
@@ -99,6 +100,67 @@ class TestConstruction:
         fam = switch_family(T["3_1"], (0, 1))
         assert fam.m == 4
         assert fam.regions[0].route0 != fam.regions[0].route1
+
+
+class TestSharedResolutions:
+    """States with equal relabelled quads share one validated Diagram."""
+
+    def test_one_diagram_per_switched_subset(self, monkeypatch):
+        builds = []
+        original = Diagram.from_quads
+
+        def counted(cls, quads):
+            builds.append(quads)
+            return original(quads)
+
+        monkeypatch.setattr(Diagram, "from_quads", classmethod(counted))
+        fam = switch_family(T["5_1"], (0, 1, 2))
+        assert fam.m == 6
+        states = [fam.resolve(r for r in range(6) if mask >> r & 1) for mask in range(64)]
+        assert len({id(d) for d in states}) == 8
+        assert len(builds) == 8
+
+    def test_one_relabeling_search_per_distinct_resolution(self, monkeypatch):
+        # a fresh parse, so no key of the cached table diagram is reused
+        fam = switch_family(parse_pd(serialize_pd(T["5_1"])), (0, 1, 2))
+        searches = []
+        original = Diagram._relabelings
+
+        def counted(self):
+            searches.append(self)
+            return original(self)
+
+        monkeypatch.setattr(Diagram, "_relabelings", counted)
+        goussarov_difference(fam, get_invariant("c2"))
+        assert len(searches) == 8
+
+    def test_each_state_is_the_host_switched_at_its_full_pairs(self):
+        # A state switches crossing i when both regions of i's pair are
+        # taken.  States that switch nothing have the key of k itself.  The
+        # others carry one extra R2 pair per switched crossing, so they are
+        # compared with switch_crossing by crossing count and invariants,
+        # and with every state that switches the same crossings by key.
+        for name, k in T.items():
+            if not k.is_knot():
+                continue
+            for size in (0, 1, 2):
+                for crossings in combinations(range(k.n_crossings), size):
+                    fam = switch_family(k, crossings)
+                    first: dict[tuple[int, ...], Diagram] = {(): k}
+                    for mask in range(1 << fam.m):
+                        res = fam.resolve(r for r in range(fam.m) if mask >> r & 1)
+                        switched = tuple(
+                            i for j, i in enumerate(crossings) if mask >> 2 * j & 3 == 3
+                        )
+                        expect = first.setdefault(switched, res)
+                        assert res.canonical_key() == expect.canonical_key(), (name, mask)
+                    for switched, res in first.items():
+                        expect = k
+                        for i in switched:
+                            expect = switch_crossing(expect, i)
+                        assert res.n_crossings == k.n_crossings + 2 * len(switched)
+                        assert conway(res) == conway(expect), (name, switched)
+                        assert jones(res) == jones(expect), (name, switched)
 
 
 class TestCrossingEncoding:
