@@ -90,12 +90,6 @@ class HopfPairBracelet:
     def from_matching(cls, pairs: Iterable[tuple[int, int]]) -> "HopfPairBracelet":
         return cls(_normalize_matching(pairs))
 
-    @classmethod
-    def from_chord_diagram(cls, cd: ChordDiagram) -> "HopfPairBracelet":
-        if cd.n == 0:
-            raise BraceletError("a bracelet needs at least one Hopf pair")
-        return cls(tuple((i + 1, j + 1) for i, j in cd.pairs()))
-
     @property
     def n_components(self) -> int:
         return 2 * len(self.matching)

@@ -93,17 +93,6 @@ class ChordDiagram:
     def n(self) -> int:
         return len(self.word) // 2
 
-    def pairs(self) -> tuple[tuple[int, int], ...]:
-        """Endpoint positions of each chord, in first-appearance order."""
-        first: dict[int, int] = {}
-        out: list[tuple[int, int]] = []
-        for pos, c in enumerate(self.word):
-            if c in first:
-                out.append((first[c], pos))
-            else:
-                first[c] = pos
-        return tuple(sorted(out))
-
     def has_isolated_chord(self) -> bool:
         """True if some chord's endpoints are cyclically adjacent."""
         size = len(self.word)

@@ -23,7 +23,7 @@ from typing import Callable
 
 from .bracelets import HopfPairBracelet
 from .chord_algebra import MAX_DEGREE, dim_a, enumerate_diagrams
-from .diagram import PDError, mark_singular, serialize_pd
+from .diagram import PDError, SingularDiagram, serialize_pd
 from .goussarov import (
     FamilyError,
     encode_singular_as_bracelet,
@@ -57,13 +57,16 @@ def _parse_ints(text: str, what: str) -> tuple[int, ...]:
         raise ValueError(f"{what} must be comma-separated integers, got {text!r}") from None
 
 
+def _check_crossings(what: str, n: int, max_crossings: int) -> None:
+    if n > max_crossings:
+        raise ValueError(
+            f"{what} has {n} crossings, over the --max-crossings limit of {max_crossings}"
+        )
+
+
 def _load_pd(ref: str, max_crossings: int):
     d = resolve_diagram_ref(ref)
-    if d.n_crossings > max_crossings:
-        raise ValueError(
-            f"diagram has {d.n_crossings} crossings, over the --max-crossings "
-            f"limit of {max_crossings}"
-        )
+    _check_crossings("diagram", d.n_crossings, max_crossings)
     return d
 
 
@@ -74,11 +77,7 @@ def _load_family(path: str, max_crossings: int):
     except OSError as e:
         raise TableError(f"cannot read {path}: {e.strerror or e}") from e
     fam = parse_family(text)
-    if len(fam.quads) > max_crossings:
-        raise ValueError(
-            f"family has {len(fam.quads)} crossings, over the --max-crossings "
-            f"limit of {max_crossings}"
-        )
+    _check_crossings("family", len(fam.quads), max_crossings)
     return fam
 
 
@@ -138,11 +137,7 @@ def _cmd_vtype(args) -> int:
             raise UsageError("--suite excludes --pd/--crossings")
         cases = load_suite(args.suite)
         for c in cases:
-            if c.diagram.n_crossings > args.max_crossings:
-                raise ValueError(
-                    f"suite case {c.label} has {c.diagram.n_crossings} crossings, "
-                    f"over the --max-crossings limit of {args.max_crossings}"
-                )
+            _check_crossings(f"suite case {c.label}", c.diagram.n_crossings, args.max_crossings)
         corpus = [(c.diagram, c.crossings) for c in cases]
         labels = [c.label for c in cases]
     elif args.pd is not None and args.crossings is not None:
@@ -178,7 +173,7 @@ def _cmd_resolve(args) -> int:
 
 def _cmd_encode(args) -> int:
     d = _load_pd(args.pd, args.max_crossings)
-    marked = mark_singular(d, _parse_ints(args.singular, "--singular"))
+    marked = SingularDiagram(d, _parse_ints(args.singular, "--singular"))
     text = serialize_family(encode_singular_as_bracelet(marked))
     if args.json:
         print(json.dumps({"command": "encode", "family": text}, sort_keys=True))
@@ -189,7 +184,7 @@ def _cmd_encode(args) -> int:
 
 def _cmd_theorem1(args) -> int:
     d = _load_pd(args.pd, args.max_crossings)
-    marked = mark_singular(d, _parse_ints(args.singular, "--singular"))
+    marked = SingularDiagram(d, _parse_ints(args.singular, "--singular"))
     res = theorem1_identity_check(marked, get_invariant(args.invariant))
     verdict = "PASS" if res.equal else "FAIL"
     _emit(

@@ -40,7 +40,6 @@ __all__ = [
     "to_gauss",
     "switch_crossing",
     "mirror",
-    "mark_singular",
     "load_table",
 ]
 
@@ -264,11 +263,6 @@ class Diagram:
     def relabeled(self, mapping: dict[int, int]) -> "Diagram":
         return Diagram([x.relabel(mapping) for x in self.crossings], self.free_loops)
 
-    def with_crossing(self, i: int, replacement: Crossing) -> "Diagram":
-        xs = list(self.crossings)
-        xs[i] = replacement
-        return Diagram(xs, self.free_loops)
-
     # -- canonical form ------------------------------------------------
 
     def _relabelings(self) -> Iterator[dict[int, int]]:
@@ -357,85 +351,53 @@ def _parse_quads(tokens: list[str]) -> list[tuple[int, int, int, int]]:
 
 
 def _infer_signs(quads: list[tuple[int, int, int, int]]) -> list[int]:
-    """Assign crossing signs so every arc is once-incoming, once-outgoing.
+    """Crossing signs from the orientation, found by walking each strand.
 
-    Slots a (index 0) and c (index 2) are forced in/out; for slot b the arc
-    is incoming iff the sign is negative, for slot d iff positive.  This is
-    a parity constraint system which we solve by propagation; components
-    with no forcing constraint get a deterministic default.
+    A strand runs straight through each crossing, from slot k to slot
+    k + 2, and along each arc to the arc's other slot.  An under-passage
+    fixes the strand's direction (in at slot 0, out at slot 2).  A strand
+    that is never under has no forced direction: by default it is walked
+    from the lowest-index crossing it passes, oriented so that this
+    crossing is positive.  A crossing is positive exactly when its
+    over-strand comes in at slot 3.
     """
-    occ: dict[int, list[tuple[int, int]]] = {}
+    occ: dict[int, list[int]] = {}
     for ci, q in enumerate(quads):
         for si, arc in enumerate(q):
-            occ.setdefault(arc, []).append((ci, si))
-    for arc, places in occ.items():
-        if len(places) != 2:
-            raise PDArcError(f"arc {arc} occurs {len(places)} times, expected exactly 2")
+            occ.setdefault(arc, []).append(4 * ci + si)
+    # a slot is h = 4 * crossing + slot index, so h ^ 2 is the slot across
+    mate = [0] * (4 * len(quads))
+    for arc, hs in occ.items():
+        if len(hs) != 2:
+            raise PDArcError(f"arc {arc} occurs {len(hs)} times, expected exactly 2")
+        mate[hs[0]], mate[hs[1]] = hs[1], hs[0]
+    signs = [0] * len(quads)
+    under_seen = [False] * len(quads)
 
-    # x[ci] = True  <=>  sign +1.  Slot direction as function of x:
-    #   slot 0: IN (const), slot 2: OUT (const),
-    #   slot 1 (b): IN iff not x, slot 3 (d): IN iff x.
-    n = len(quads)
-    x: list[bool | None] = [None] * n
-    # constraints: unit assignments and parity edges
-    units: list[tuple[int, bool]] = []
-    edges: dict[int, list[tuple[int, bool]]] = {i: [] for i in range(n)}
-
-    def var_of(ci: int, si: int):
-        # returns None for const slots, else (ci, invert) with IN == x ^ invert
-        if si == 0 or si == 2:
-            return None
-        return (ci, si == 1)  # slot1: IN iff x is False -> invert=True
-
-    for arc, ((c1, s1), (c2, s2)) in occ.items():
-        v1, v2 = var_of(c1, s1), var_of(c2, s2)
-        in1 = s1 == 0
-        in2 = s2 == 0
-        if v1 is None and v2 is None:
-            if in1 == in2:
+    def walk(start: int) -> None:
+        # follow the strand that comes in at slot `start` until it closes
+        h = start
+        while True:
+            ci, si = h >> 2, h & 3
+            if si == 0:
+                under_seen[ci] = True
+            elif si == 2:
                 raise PDOrientationError(
-                    f"arc {arc} has conflicting forced directions"
+                    f"arc {quads[ci][2]} runs into crossing {ci} at its outgoing under-slot"
                 )
-        elif v1 is None or v2 is None:
-            const_in = in1 if v1 is None else in2
-            (ci, inv) = v2 if v1 is None else v1
-            # need var direction != const: IN(var) = not const_in
-            # IN(var) = x[ci] ^ inv  =>  x[ci] = (not const_in) ^ inv
-            units.append((ci, (not const_in) ^ inv))
-        else:
-            (ca, ia), (cb, ib) = v1, v2
-            # (x[ca]^ia) != (x[cb]^ib)  =>  x[ca] ^ x[cb] = True ^ ia ^ ib
-            parity = ia == ib
-            edges[ca].append((cb, parity))
-            edges[cb].append((ca, parity))
+            else:
+                signs[ci] = 1 if si == 3 else -1
+            h = mate[h ^ 2]
+            if h == start:
+                return
 
-    from collections import deque
-
-    def assign(start: int, value: bool) -> None:
-        queue = deque([start])
-        if x[start] is None:
-            x[start] = value
-        elif x[start] != value:
-            raise PDOrientationError("inconsistent crossing orientation system")
-        while queue:
-            i = queue.popleft()
-            for j, parity in edges[i]:
-                want = x[i] ^ parity
-                if x[j] is None:
-                    x[j] = want
-                    queue.append(j)
-                elif x[j] != want:
-                    raise PDOrientationError(
-                        "inconsistent crossing orientation system"
-                    )
-
-    for ci, val in units:
-        assign(ci, val)
-    for ci in range(n):
-        if x[ci] is None:
-            # no under-strand forcing reaches this crossing; fix a default
-            assign(ci, True)
-    return [+1 if v else -1 for v in x]
+    for ci in range(len(quads)):
+        if not under_seen[ci]:
+            walk(4 * ci)
+    for ci in range(len(quads)):
+        if not signs[ci]:
+            walk(4 * ci + 3)
+    return signs
 
 
 def parse_pd(text: str) -> Diagram:
@@ -558,7 +520,9 @@ def switch_crossing(d: Diagram, i: int) -> Diagram:
     """Exchange over/under at crossing i (an involution)."""
     if not 0 <= i < d.n_crossings:
         raise IndexError(f"crossing index {i} out of range")
-    return d.with_crossing(i, d.crossings[i].switched())
+    xs = list(d.crossings)
+    xs[i] = xs[i].switched()
+    return Diagram(xs, d.free_loops)
 
 
 def mirror(d: Diagram) -> Diagram:
@@ -635,11 +599,6 @@ class SingularDiagram:
         return f"SingularDiagram({serialize_pd(self.diagram)!r}, marked={sorted(self.marked)})"
 
 
-def mark_singular(d: Diagram, indices: Iterable[int]) -> SingularDiagram:
-    """Mark the given crossings of a diagram as double points."""
-    return SingularDiagram(d, indices)
-
-
 # ---------------------------------------------------------------------------
 # formal sums
 
@@ -669,10 +628,6 @@ class FormalSum:
     @classmethod
     def single(cls, obj, coeff=1) -> "FormalSum":
         return cls([(obj, Fraction(coeff))])
-
-    @classmethod
-    def zero(cls) -> "FormalSum":
-        return cls()
 
     def terms(self) -> list[tuple[object, Fraction]]:
         return [self._terms[k] for k in sorted(self._terms)]

@@ -267,12 +267,6 @@ class SparseMatrix:
                     buckets.setdefault(min(row), []).append((i, row))
         return rank
 
-    def transpose(self) -> "SparseMatrix":
-        m = SparseMatrix(self.ncols, self.nrows)
-        for (r, c), v in self.entries.items():
-            m[c, r] = v
-        return m
-
     def __eq__(self, other) -> bool:
         return (
             isinstance(other, SparseMatrix)

@@ -22,7 +22,7 @@ from .bracelets import (
     realize_as_link,
 )
 from .chord_algebra import _matchings, dim_a, enumerate_diagrams
-from .diagram import FormalSum, mark_singular
+from .diagram import FormalSum, SingularDiagram
 from .exact_math import LaurentPoly
 from .goussarov import (
     DetourFamily,
@@ -43,7 +43,7 @@ from .vassiliev import (
     vassiliev_type_check,
 )
 
-__all__ = ["CriterionResult", "CRITERIA", "run_criterion", "run_selftest"]
+__all__ = ["CriterionResult", "CRITERIA", "run_selftest"]
 
 
 @dataclass(frozen=True)
@@ -117,7 +117,7 @@ def criterion_2() -> CriterionResult:
     for trial in range(50):
         d = rng.choice(hosts)
         i, j = rng.sample(range(d.n_crossings), 2)
-        k = mark_singular(d, (i, j))
+        k = SingularDiagram(d, (i, j))
         first_i = resolve_once(k, i).map_terms(lambda s: resolve_once(s, j))
         first_j = resolve_once(k, j).map_terms(lambda s: resolve_once(s, i))
         if first_i != first_j:
@@ -180,7 +180,7 @@ def criterion_4() -> CriterionResult:
     table = bundled_table()
     bad: list[str] = []
     for label, marks in _THEOREM1_CASES:
-        k = mark_singular(table[label], marks)
+        k = SingularDiagram(table[label], marks)
         for inv_name in invariant_names():
             res = theorem1_identity_check(k, get_invariant(inv_name))
             if not res.equal:
@@ -387,12 +387,6 @@ CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
     criterion_8,
     criterion_9,
 )
-
-
-def run_criterion(number: int) -> CriterionResult:
-    if not 1 <= number <= len(CRITERIA):
-        raise ValueError(f"criterion number must be 1..{len(CRITERIA)}")
-    return CRITERIA[number - 1]()
 
 
 def run_selftest(writer: Callable[[str], None] = print) -> int:

@@ -16,11 +16,10 @@ from functools import lru_cache
 from importlib import resources
 from pathlib import Path
 
-from .diagram import Diagram, load_table
+from .diagram import Diagram, load_table, parse_pd
 
 __all__ = [
     "bundled_table",
-    "bundled_names",
     "resolve_diagram_ref",
     "SuiteCase",
     "load_suite",
@@ -46,10 +45,6 @@ def bundled_table(name: str = "knots.pdtab") -> dict[str, Diagram]:
     return dict(_bundled(name))
 
 
-def bundled_names(name: str = "knots.pdtab") -> list[str]:
-    return list(_bundled(name))
-
-
 def _read_file(path: Path) -> str:
     try:
         return path.read_text()
@@ -57,13 +52,18 @@ def _read_file(path: Path) -> str:
         raise TableError(f"cannot read {path}: {e.strerror or e}") from e
 
 
+def _find_file(path_text: str, relative_to: Path | None) -> Path | None:
+    """The file at path_text, looked up in relative_to first, then in the
+    working directory; None if neither has it."""
+    here = Path(path_text)
+    candidates = [here] if relative_to is None else [relative_to / path_text, here]
+    return next((p for p in candidates if p.is_file()), None)
+
+
 def _load_any_table(path_text: str, relative_to: Path | None) -> dict[str, Diagram]:
-    candidates = [Path(path_text)]
-    if relative_to is not None:
-        candidates.insert(0, relative_to / path_text)
-    for p in candidates:
-        if p.is_file():
-            return load_table(_read_file(p))
+    p = _find_file(path_text, relative_to)
+    if p is not None:
+        return load_table(_read_file(p))
     try:
         return _bundled(Path(path_text).name)
     except TableError:
@@ -78,8 +78,6 @@ def resolve_diagram_ref(ref: str, *, relative_to: Path | None = None) -> Diagram
     """
     ref = ref.strip()
     if "[" in ref or ref.startswith("components="):
-        from .diagram import parse_pd
-
         return parse_pd(ref)
     if "#" in ref:
         path_text, _, row = ref.rpartition("#")
@@ -90,15 +88,10 @@ def resolve_diagram_ref(ref: str, *, relative_to: Path | None = None) -> Diagram
                 f"(rows: {', '.join(table)})"
             )
         return table[row]
-    candidates = [Path(ref)]
-    if relative_to is not None:
-        candidates.insert(0, relative_to / ref)
-    for p in candidates:
-        if p.is_file():
-            from .diagram import parse_pd
-
-            return parse_pd(_read_file(p))
-    raise TableError(f"no such file: {ref}")
+    p = _find_file(ref, relative_to)
+    if p is None:
+        raise TableError(f"no such file: {ref}")
+    return parse_pd(_read_file(p))
 
 
 @dataclass(frozen=True)

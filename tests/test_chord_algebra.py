@@ -66,10 +66,6 @@ class TestChordDiagram:
         # cyclic adjacency counts: first and last positions touch
         assert ChordDiagram.from_word((0, 1, 1, 0)).has_isolated_chord()
 
-    def test_pairs_inverse_of_from_pairs(self):
-        d = ChordDiagram.from_word((0, 1, 2, 0, 2, 1))
-        assert ChordDiagram.from_pairs(d.pairs()) == d
-
     def test_ordering_is_by_size_then_word(self):
         small = ChordDiagram.from_word((0, 0))
         big = ChordDiagram.from_word((0, 1, 0, 1))

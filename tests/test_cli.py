@@ -17,6 +17,27 @@ from finitype.invariants import get_invariant, linking_matrix
 from finitype.tables import bundled_table
 
 
+# the package's public names: __version__ and every module's __all__
+PUBLIC_NAMES = [
+    "BraceletError", "ChordDiagram", "Crossing", "CyclicLink", "DetourFamily",
+    "Diagram", "FamilyError", "FormalSum", "GaussError", "HopfPairBracelet",
+    "Invariant", "InvariantError", "LaurentPoly", "MAX_DEGREE", "MAX_REGIONS",
+    "PDArcError", "PDError", "PDOrientationError", "PDSyntaxError", "RelationSet",
+    "Route", "SingularDiagram", "SparseMatrix", "SuiteCase", "SwitchRegion",
+    "TableError", "Theorem1Result", "TypeCheckCase", "TypeCheckReport",
+    "WeightSpaceReport", "__version__", "bundled_suite_path", "bundled_table", "c2",
+    "conway", "delta_g", "detect_hopf_pairs", "difference_sum", "dim_a",
+    "encode_crossing_as_detours", "encode_singular_as_bracelet", "enumerate_diagrams",
+    "evaluate_on_sum", "generate_4t", "generate_fi", "get_invariant",
+    "goussarov_difference", "goussarov_type_check", "invariant_names", "j3", "jones",
+    "kauffman_bracket", "linking_matrix", "load_suite", "load_table", "mirror",
+    "odd_degree_empty", "parse_family", "parse_gauss", "parse_pd", "realize_as_link",
+    "resolve_all", "resolve_diagram_ref", "resolve_once", "serialize_family",
+    "serialize_pd", "switch_crossing", "switch_family", "theorem1_identity_check",
+    "to_gauss", "vassiliev_difference", "vassiliev_type_check",
+]
+
+
 def run(capsys, *argv):
     rc = main(list(argv))
     captured = capsys.readouterr()
@@ -401,9 +422,21 @@ class TestTopLevel:
         assert proc.stdout == "1\n"
 
     def test_selftest_loaded_only_by_its_command(self):
-        proc = run_python("-c", "import sys, finitype.cli; print('finitype.selftest' in sys.modules)")
+        code = (
+            "import sys, finitype\n"
+            "print(sorted(m for m in ('finitype.selftest', 'finitype.oracles', 'finitype.cli')"
+            " if m in sys.modules))\n"
+            "import finitype.cli\n"
+            "print('finitype.selftest' in sys.modules)"
+        )
+        proc = run_python("-c", code)
         assert proc.returncode == 0, proc.stderr
-        assert proc.stdout == "False\n"
+        assert proc.stdout == "[]\nFalse\n"
+
+    def test_package_surface(self):
+        assert sorted(finitype.__all__) == PUBLIC_NAMES
+        missing = [name for name in PUBLIC_NAMES if not hasattr(finitype, name)]
+        assert missing == []
 
 
 class TestSelftestCommand:

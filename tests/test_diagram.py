@@ -1,5 +1,6 @@
 """PD parsing, orientation inference, canonical forms, formal sums."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -8,14 +9,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitype.diagram import (
+    Crossing,
     Diagram,
     FormalSum,
     PDArcError,
     PDError,
     PDOrientationError,
     PDSyntaxError,
+    SingularDiagram,
     load_table,
-    mark_singular,
     mirror,
     parse_gauss,
     parse_pd,
@@ -100,6 +102,13 @@ class TestParsing:
         # two crossings forcing arc 1 incoming (slot 0) at both ends
         with pytest.raises(PDOrientationError):
             parse_pd("X[1,3,2,4] X[1,4,2,3]")
+
+    def test_over_only_component_default(self):
+        # arcs 3 and 4 never pass under, so their direction is free: the
+        # lowest-index crossing they pass is made positive, in either order
+        assert [x.sign for x in parse_pd("X[1,3,2,4] X[2,3,1,4]").crossings] == [1, -1]
+        assert [x.sign for x in parse_pd("X[2,3,1,4] X[1,3,2,4]").crossings] == [1, -1]
+        assert [x.sign for x in parse_pd("X[1,3,2,4] X[2,4,1,3]").crossings] == [1, 1]
 
     def test_comments_and_newlines_ignored(self):
         text = "# a trefoil\nX[1,4,2,5] # first\nX[3,6,4,1]\nX[5,2,6,3]\n"
@@ -237,14 +246,14 @@ class TestCanonicalForm:
         )
         assert t["hopf"].canonical_key() == "components=2 arcs=4 X[1,3,2,4] X[3,1,4,2]"
         assert t["unlink2"].canonical_key() == "components=2 arcs=0"
-        assert mark_singular(t["3_1"], (0,)).canonical_key() == (
+        assert SingularDiagram(t["3_1"], (0,)).canonical_key() == (
             "components=1 arcs=6 D[1,3,6,4] X[1,4,2,5] X[5,2,6,3]"
         )
 
     def test_key_is_computed_once(self):
         d = parse_pd(TREFOIL)
         assert d.canonical_key() is d.canonical_key()
-        k = mark_singular(d, (0,))
+        k = SingularDiagram(d, (0,))
         assert k.canonical_key() is k.canonical_key()
 
 
@@ -274,23 +283,23 @@ class TestSingularDiagram:
     def test_mark_validates_indices(self):
         d = bundled_table()["3_1"]
         with pytest.raises(IndexError):
-            mark_singular(d, (5,))
+            SingularDiagram(d, (5,))
 
     def test_marked_crossing_forgets_over_under(self):
         d = bundled_table()["3_1"]
-        assert mark_singular(d, (0,)) == mark_singular(switch_crossing(d, 0), (0,))
-        assert mark_singular(d, (0,)) != mark_singular(d, (1,)) or (
-            mark_singular(d, (0,)).canonical_key()
-            == mark_singular(d, (1,)).canonical_key()
+        assert SingularDiagram(d, (0,)) == SingularDiagram(switch_crossing(d, 0), (0,))
+        assert SingularDiagram(d, (0,)) != SingularDiagram(d, (1,)) or (
+            SingularDiagram(d, (0,)).canonical_key()
+            == SingularDiagram(d, (1,)).canonical_key()
         )
 
     def test_unmarked_crossings_still_matter(self):
         d = bundled_table()["4_1"]
-        assert mark_singular(d, (0,)) != mark_singular(switch_crossing(d, 1), (0,))
+        assert SingularDiagram(d, (0,)) != SingularDiagram(switch_crossing(d, 1), (0,))
 
     def test_resolved_covers_marked_set(self):
         d = bundled_table()["3_1"]
-        k = mark_singular(d, (0, 1))
+        k = SingularDiagram(d, (0, 1))
         out = k.resolved({0: 1, 1: -1})
         assert out.crossings[0].sign == 1
         assert out.crossings[1].sign == -1
@@ -374,3 +383,38 @@ class TestProperties:
         assert s.writhe == d.writhe - 2 * d.crossings[i].sign
         same = [j for j in range(d.n_crossings) if s.crossings[j] == d.crossings[j]]
         assert len(same) == d.n_crossings - 1
+
+    @given(st.randoms(use_true_random=False))
+    @settings(max_examples=30, deadline=None)
+    def test_signs_survive_relabeling_and_reordering(self, rnd):
+        # a knot with a crossing passes under somewhere, so its orientation,
+        # and with it every sign, is fixed by the quads alone
+        for name, d in bundled_table().items():
+            if not d.is_knot() or not d.crossings:
+                continue
+            arcs = d.arcs()
+            mapping = dict(zip(arcs, rnd.sample(range(1, 10 * len(arcs)), len(arcs))))
+            order = rnd.sample(range(d.n_crossings), d.n_crossings)
+            got = Diagram.from_quads([d.crossings[i].relabel(mapping).slots for i in order])
+            assert [x.sign for x in got.crossings] == [d.crossings[i].sign for i in order], name
+
+    @given(st.integers(1, 6), st.randoms(use_true_random=False))
+    @settings(max_examples=200, deadline=None)
+    def test_random_labellings_build_or_raise(self, c, rnd):
+        labels = [a for a in range(1, 2 * c + 1) for _ in range(2)]
+        rnd.shuffle(labels)
+        quads = [tuple(labels[4 * i : 4 * i + 4]) for i in range(c)]
+        # oracle: every sign vector that gives a valid diagram
+        valid = set()
+        for signs in itertools.product((1, -1), repeat=c):
+            try:
+                Diagram([Crossing(q, s) for q, s in zip(quads, signs)])
+            except PDError:
+                continue
+            valid.add(signs)
+        try:
+            d = Diagram.from_quads(quads)
+        except PDError:
+            assert not valid
+            return
+        assert tuple(x.sign for x in d.crossings) in valid

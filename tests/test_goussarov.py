@@ -6,7 +6,7 @@ from itertools import combinations
 import pytest
 
 from finitype import diagram, goussarov
-from finitype.diagram import Diagram, mark_singular, parse_pd, serialize_pd, switch_crossing
+from finitype.diagram import Diagram, SingularDiagram, parse_pd, serialize_pd, switch_crossing
 from finitype.goussarov import (
     MAX_REGIONS,
     DetourFamily,
@@ -271,32 +271,32 @@ class TestFreezing:
 
 class TestSingularEncoding:
     def test_region_count(self):
-        k = mark_singular(T["4_1"], (0, 2))
+        k = SingularDiagram(T["4_1"], (0, 2))
         assert encode_singular_as_bracelet(k).m == 4
 
     def test_base_state_is_all_negative(self):
-        k = mark_singular(T["3_1"], (0, 1))
+        k = SingularDiagram(T["3_1"], (0, 1))
         fam = encode_singular_as_bracelet(k)
         assert fam.resolve(()) == k.resolved({0: -1, 1: -1})
 
     def test_pair_flips_its_double_point(self):
-        k = mark_singular(T["3_1"], (0,))
+        k = SingularDiagram(T["3_1"], (0,))
         fam = encode_singular_as_bracelet(k)
         plus = fam.resolve((0, 1))
         assert conway(plus) == conway(k.resolved({0: 1}))
 
     def test_non_knot_rejected(self):
         with pytest.raises(FamilyError):
-            encode_singular_as_bracelet(mark_singular(T["hopf"], (0,)))
+            encode_singular_as_bracelet(SingularDiagram(T["hopf"], (0,)))
 
     def test_theorem1_pins(self):
         c2 = get_invariant("c2")
-        res = theorem1_identity_check(mark_singular(T["3_1"], (0,)), c2)
+        res = theorem1_identity_check(SingularDiagram(T["3_1"], (0,)), c2)
         assert res.equal
         assert res.lhs == Fraction(-1)
 
     def test_theorem1_across_invariants(self):
-        k = mark_singular(T["4_1"], (0, 2))
+        k = SingularDiagram(T["4_1"], (0, 2))
         for name in ("jones", "conway", "c2", "j3"):
             assert theorem1_identity_check(k, get_invariant(name)).equal, name
 
@@ -328,7 +328,7 @@ class TestSerialization:
         for fam in (
             switch_family(T["3_1"], (0,)),
             switch_family(T["4_1"], (1, 3)),
-            encode_singular_as_bracelet(mark_singular(T["3_1"], (0, 1))),
+            encode_singular_as_bracelet(SingularDiagram(T["3_1"], (0, 1))),
         ):
             back = parse_family(serialize_family(fam))
             assert back == fam

@@ -344,7 +344,7 @@ class TestRegistry:
         s = FormalSum([(T["3_1"], Fraction(2)), (T["4_1"], Fraction(-1))])
         expect = conway(T["3_1"]).scale(2) - conway(T["4_1"])
         assert evaluate_on_sum(inv, s) == expect
-        assert evaluate_on_sum(inv, FormalSum.zero()) == inv.zero
+        assert evaluate_on_sum(inv, FormalSum()) == inv.zero
 
     def test_evaluate_on_sum_rational_invariant(self):
         inv = get_invariant("c2")

@@ -7,7 +7,6 @@ import pytest
 from finitype.diagram import PDError, parse_pd
 from finitype.tables import (
     TableError,
-    bundled_names,
     bundled_suite_path,
     bundled_table,
     load_suite,
@@ -17,7 +16,7 @@ from finitype.tables import (
 
 class TestBundledTable:
     def test_contents(self):
-        names = bundled_names()
+        names = list(bundled_table())
         assert len(names) == 20
         for required in ("0_1", "3_1", "3_1m", "4_1", "5_1", "6_1", "7_1",
                          "8_3", "hopf", "unlink2", "chain3", "solomon"):

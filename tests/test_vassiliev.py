@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitype import diagram, vassiliev
-from finitype.diagram import Diagram, FormalSum, mark_singular, parse_pd, serialize_pd
+from finitype.diagram import Diagram, FormalSum, SingularDiagram, parse_pd, serialize_pd
 from finitype.invariants import evaluate_on_sum, get_invariant
 from finitype.tables import bundled_table
 from finitype.vassiliev import (
@@ -52,26 +52,26 @@ class TestKeyWork:
         vassiliev_difference(T["5_1"], (0, 1, 2), get_invariant("c2"))
         assert len(switches) == 7
         switches.clear()
-        resolve_all(mark_singular(T["4_1"], (0, 1, 3)))
+        resolve_all(SingularDiagram(T["4_1"], (0, 1, 3)))
         assert len(switches) == 7
 
 
 class TestResolveOnce:
     def test_two_terms_with_opposite_signs(self):
-        k = mark_singular(T["3_1"], (0,))
+        k = SingularDiagram(T["3_1"], (0,))
         s = resolve_once(k, 0)
         assert len(s) == 2
         coeffs = sorted(c for _, c in s.terms())
         assert coeffs == [Fraction(-1), Fraction(1)]
 
     def test_resolved_terms_carry_remaining_marks(self):
-        k = mark_singular(T["4_1"], (0, 2))
+        k = SingularDiagram(T["4_1"], (0, 2))
         s = resolve_once(k, 0)
         for obj, _ in s.terms():
             assert obj.marked == frozenset({2})
 
     def test_unmarked_index_rejected(self):
-        k = mark_singular(T["3_1"], (0,))
+        k = SingularDiagram(T["3_1"], (0,))
         with pytest.raises(ValueError):
             resolve_once(k, 1)
 
@@ -81,7 +81,7 @@ class TestResolveOnce:
         for _ in range(30):
             d = rng.choice(hosts)
             i, j = rng.sample(range(d.n_crossings), 2)
-            k = mark_singular(d, (i, j))
+            k = SingularDiagram(d, (i, j))
             ij = resolve_once(k, i).map_terms(lambda s: resolve_once(s, j))
             ji = resolve_once(k, j).map_terms(lambda s: resolve_once(s, i))
             assert ij == ji
@@ -89,12 +89,12 @@ class TestResolveOnce:
 
 class TestResolveAll:
     def test_term_count_before_cancellation(self):
-        k = mark_singular(T["4_1"], (0, 1, 2))
+        k = SingularDiagram(T["4_1"], (0, 1, 2))
         # 2^3 sign patterns; distinct diagrams may merge but never exceed 8
         assert len(resolve_all(k)) <= 8
 
     def test_agrees_with_iterated_resolve_once(self):
-        k = mark_singular(T["4_1"], (1, 3))
+        k = SingularDiagram(T["4_1"], (1, 3))
         iterated = (
             resolve_once(k, 1)
             .map_terms(lambda s: resolve_once(s, 3))
@@ -103,7 +103,7 @@ class TestResolveAll:
         assert iterated == resolve_all(k)
 
     def test_no_marks_is_identity(self):
-        k = mark_singular(T["3_1"], ())
+        k = SingularDiagram(T["3_1"], ())
         assert resolve_all(k) == FormalSum.single(T["3_1"])
 
 
@@ -142,7 +142,7 @@ class TestVassilievDifference:
             prod = 1
             for i in crossings:
                 prod *= d.crossings[i].sign
-            rhs = prod * evaluate_on_sum(c2, resolve_all(mark_singular(d, crossings)))
+            rhs = prod * evaluate_on_sum(c2, resolve_all(SingularDiagram(d, crossings)))
             assert lhs == rhs, (name, crossings)
 
     def test_c2_type_two_witnesses(self):
