@@ -13,6 +13,10 @@ label appears exactly twice (once incoming, once outgoing).  Crossingless
 components ("free loops") are carried as a count, declared in PD text by a
 ``components=k arcs=m`` preamble.
 
+One walk along each strand (``_walk``) checks the labels and the
+orientation, checks the given crossing signs or infers missing ones, and
+traces the components.  Every construction runs it once.
+
 Nothing here checks planarity; diagrams are purely combinatorial and all
 downstream invariants are computed from the combinatorics.
 """
@@ -93,12 +97,6 @@ class Crossing:
     def over_out(self) -> int:
         return self.slots[1] if self.sign > 0 else self.slots[3]
 
-    def incoming(self) -> tuple[int, int]:
-        return (self.under_in, self.over_in)
-
-    def outgoing(self) -> tuple[int, int]:
-        return (self.under_out, self.over_out)
-
     def token(self) -> str:
         a, b, c, d = self.slots
         return f"X[{a},{b},{c},{d}]"
@@ -143,11 +141,12 @@ class _ArcUnion:
 class Diagram:
     """An oriented link diagram: crossings plus crossingless free loops.
 
-    Validation happens on construction: every arc label must occur exactly
-    twice, once as an incoming slot and once as an outgoing slot, and there
-    must be at least one component.  Component structure and writhe are
-    precomputed.  A diagram is never changed after construction, so its
-    canonical key is computed once and kept.
+    Construction runs one strand walk over the crossings' own signs: every
+    arc label must occur exactly twice, once as an incoming slot and once as
+    an outgoing slot, and the same walk traces the components; there must
+    be at least one component.  Writhe is precomputed too.  A diagram is
+    never changed after construction, so its canonical key is computed once
+    and kept.
     """
 
     __slots__ = ("crossings", "free_loops", "components", "arc_component", "writhe", "_key")
@@ -157,8 +156,9 @@ class Diagram:
         if free_loops < 0:
             raise PDArcError("negative free loop count")
         self.free_loops = free_loops
-        self._validate_arcs()
-        self.components: tuple[tuple[int, ...], ...] = self._trace_components()
+        self.components: tuple[tuple[int, ...], ...] = _walk(
+            [x.slots for x in self.crossings], [x.sign for x in self.crossings]
+        )[1]
         if not self.components and not free_loops:
             raise PDArcError("a diagram needs at least one component")
         self.arc_component: dict[int, int] = {
@@ -174,59 +174,7 @@ class Diagram:
         Raises PDArcError or PDOrientationError as parse_pd does.
         """
         quads = [tuple(q) for q in quads]
-        return cls([Crossing(q, s) for q, s in zip(quads, _infer_signs(quads))])
-
-    # -- validation and structure -------------------------------------
-
-    def _validate_arcs(self) -> None:
-        seen_in: dict[int, int] = {}
-        seen_out: dict[int, int] = {}
-        counts: dict[int, int] = {}
-        for idx, x in enumerate(self.crossings):
-            for s in x.slots:
-                if not isinstance(s, int) or s <= 0:
-                    raise PDArcError(f"arc labels must be positive integers, got {s!r}")
-                counts[s] = counts.get(s, 0) + 1
-            for s in x.incoming():
-                if s in seen_in:
-                    raise PDOrientationError(
-                        f"arc {s} is incoming at two crossings ({seen_in[s]} and {idx})"
-                    )
-                seen_in[s] = idx
-            for s in x.outgoing():
-                if s in seen_out:
-                    raise PDOrientationError(
-                        f"arc {s} is outgoing at two crossings ({seen_out[s]} and {idx})"
-                    )
-                seen_out[s] = idx
-        for arc, n in counts.items():
-            if n != 2:
-                raise PDArcError(f"arc {arc} occurs {n} times, expected exactly 2")
-        for arc in counts:
-            if arc not in seen_in or arc not in seen_out:
-                raise PDOrientationError(f"arc {arc} is not oriented consistently")
-
-    def _trace_components(self) -> tuple[tuple[int, ...], ...]:
-        # successor of an arc = the outgoing arc of the same strand at the
-        # crossing where it comes in
-        succ: dict[int, int] = {}
-        for x in self.crossings:
-            succ[x.under_in] = x.under_out
-            succ[x.over_in] = x.over_out
-        comps = []
-        left = set(succ)
-        while left:
-            start = min(left)
-            cycle = [start]
-            left.discard(start)
-            cur = succ[start]
-            while cur != start:
-                cycle.append(cur)
-                left.discard(cur)
-                cur = succ[cur]
-            comps.append(tuple(cycle))
-        comps.sort(key=lambda cyc: min(cyc))
-        return tuple(comps)
+        return cls([Crossing(q, s) for q, s in zip(quads, _walk(quads)[0])])
 
     # -- basic queries -------------------------------------------------
 
@@ -350,20 +298,28 @@ def _parse_quads(tokens: list[str]) -> list[tuple[int, int, int, int]]:
     return quads
 
 
-def _infer_signs(quads: list[tuple[int, int, int, int]]) -> list[int]:
-    """Crossing signs from the orientation, found by walking each strand.
+def _walk(
+    quads: Sequence[tuple[int, int, int, int]], signs: Sequence[int] | None = None
+) -> tuple[list[int], tuple[tuple[int, ...], ...]]:
+    """Crossing signs and components, found by walking each strand once.
 
-    A strand runs straight through each crossing, from slot k to slot
-    k + 2, and along each arc to the arc's other slot.  An under-passage
-    fixes the strand's direction (in at slot 0, out at slot 2).  A strand
-    that is never under has no forced direction: by default it is walked
-    from the lowest-index crossing it passes, oriented so that this
-    crossing is positive.  A crossing is positive exactly when its
-    over-strand comes in at slot 3.
+    Labels must be positive integers, each occurring exactly twice
+    (PDArcError, raised before any orientation check).  A strand runs
+    straight through each crossing, from slot k to slot k + 2, and along
+    each arc to the arc's other slot.  An under-passage fixes the strand's
+    direction (in at slot 0, out at slot 2), and a crossing is positive
+    exactly when its over-strand comes in at slot 3.  Given signs fix the
+    direction of every over-passage too, and are checked.  Without them
+    the signs are inferred, and a strand that is never under has no forced
+    direction: it is walked from the lowest-index crossing it passes,
+    oriented so that this crossing is positive.  Components are arc
+    cycles, each started at its least arc and sorted by it.
     """
     occ: dict[int, list[int]] = {}
     for ci, q in enumerate(quads):
         for si, arc in enumerate(q):
+            if not isinstance(arc, int) or arc <= 0:
+                raise PDArcError(f"arc labels must be positive integers, got {arc!r}")
             occ.setdefault(arc, []).append(4 * ci + si)
     # a slot is h = 4 * crossing + slot index, so h ^ 2 is the slot across
     mate = [0] * (4 * len(quads))
@@ -371,12 +327,13 @@ def _infer_signs(quads: list[tuple[int, int, int, int]]) -> list[int]:
         if len(hs) != 2:
             raise PDArcError(f"arc {arc} occurs {len(hs)} times, expected exactly 2")
         mate[hs[0]], mate[hs[1]] = hs[1], hs[0]
-    signs = [0] * len(quads)
+    found = [0] * len(quads)
     under_seen = [False] * len(quads)
+    components = []
 
     def walk(start: int) -> None:
         # follow the strand that comes in at slot `start` until it closes
-        h = start
+        h, cycle = start, []
         while True:
             ci, si = h >> 2, h & 3
             if si == 0:
@@ -386,18 +343,26 @@ def _infer_signs(quads: list[tuple[int, int, int, int]]) -> list[int]:
                     f"arc {quads[ci][2]} runs into crossing {ci} at its outgoing under-slot"
                 )
             else:
-                signs[ci] = 1 if si == 3 else -1
+                found[ci] = 1 if si == 3 else -1
+                if signs is not None and found[ci] != signs[ci]:
+                    raise PDOrientationError(
+                        f"arc {quads[ci][si]} runs into crossing {ci} at its outgoing over-slot"
+                    )
+            cycle.append(quads[ci][si])
             h = mate[h ^ 2]
             if h == start:
+                k = cycle.index(min(cycle))
+                components.append(tuple(cycle[k:] + cycle[:k]))
                 return
 
     for ci in range(len(quads)):
         if not under_seen[ci]:
             walk(4 * ci)
     for ci in range(len(quads)):
-        if not signs[ci]:
-            walk(4 * ci + 3)
-    return signs
+        if not found[ci]:
+            walk(4 * ci + (3 if signs is None else 2 + signs[ci]))
+    components.sort()
+    return found, tuple(components)
 
 
 def parse_pd(text: str) -> Diagram:
@@ -411,22 +376,17 @@ def parse_pd(text: str) -> Diagram:
     """
     preamble, tokens = _split_tokens(text)
     quads = _parse_quads(tokens)
-    if preamble is None:
-        return Diagram.from_quads(quads)
-    ncomp, narcs = preamble
-    if narcs != 2 * len(quads):
+    if preamble is not None and preamble[1] != 2 * len(quads):
         raise PDSyntaxError(
-            f"preamble declares {narcs} arcs but tokens define {2 * len(quads)}"
+            f"preamble declares {preamble[1]} arcs but tokens define {2 * len(quads)}"
         )
-    if not quads:
-        return Diagram((), ncomp)
-    d = Diagram.from_quads(quads)
-    traced = len(d.components)
-    if ncomp < traced:
+    signs, components = _walk(quads)
+    free_loops = 0 if preamble is None else preamble[0] - len(components)
+    if free_loops < 0:
         raise PDSyntaxError(
-            f"preamble declares {ncomp} components but crossings trace {traced}"
+            f"preamble declares {preamble[0]} components but crossings trace {len(components)}"
         )
-    return Diagram(d.crossings, ncomp - traced) if ncomp > traced else d
+    return Diagram([Crossing(q, s) for q, s in zip(quads, signs)], free_loops)
 
 
 def serialize_pd(d: Diagram) -> str:
@@ -527,10 +487,7 @@ def switch_crossing(d: Diagram, i: int) -> Diagram:
 
 def mirror(d: Diagram) -> Diagram:
     """Switch every crossing."""
-    out = d
-    for i in range(d.n_crossings):
-        out = switch_crossing(out, i)
-    return out
+    return Diagram([x.switched() for x in d.crossings], d.free_loops)
 
 
 class SingularDiagram:
@@ -557,11 +514,11 @@ class SingularDiagram:
         """Resolve every marked double point with the given sign (+1/-1)."""
         if set(signs) != set(self.marked):
             raise ValueError("resolution must cover exactly the marked set")
-        out = self.diagram
-        for i, s in signs.items():
-            if out.crossings[i].sign != s:
-                out = switch_crossing(out, i)
-        return out
+        xs = [
+            x.switched() if i in signs and x.sign != signs[i] else x
+            for i, x in enumerate(self.diagram.crossings)
+        ]
+        return Diagram(xs, self.diagram.free_loops)
 
     def canonical_key(self) -> str:
         if self._key is not None:

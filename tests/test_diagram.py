@@ -30,6 +30,20 @@ from finitype.tables import bundled_table
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
 
+@pytest.fixture
+def builds(monkeypatch):
+    """Every Diagram constructed while the test runs."""
+    built = []
+    original = Diagram.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(self)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Diagram, "__init__", counted)
+    return built
+
+
 class TestParsing:
     def test_trefoil_parses_with_negative_signs(self):
         d = parse_pd(TREFOIL)
@@ -38,19 +52,11 @@ class TestParsing:
         assert d.writhe == -3
         assert d.is_knot()
 
-    def test_one_diagram_built_per_parse(self, monkeypatch):
-        builds = []
-        original = Diagram.__init__
-
-        def counted(self, *args, **kwargs):
-            builds.append(self)
-            original(self, *args, **kwargs)
-
-        monkeypatch.setattr(Diagram, "__init__", counted)
-        parse_pd(TREFOIL)
-        assert len(builds) == 1
-        parse_pd("components=1 arcs=6 " + TREFOIL)
-        assert len(builds) == 2
+    def test_one_diagram_built_per_parse(self, builds):
+        for text in (TREFOIL, "components=1 arcs=6 " + TREFOIL, "components=2 arcs=6 " + TREFOIL):
+            builds.clear()
+            parse_pd(text)
+            assert len(builds) == 1, text
 
     def test_preamble_declares_free_loops(self):
         d = parse_pd("components=1 arcs=0")
@@ -97,6 +103,19 @@ class TestParsing:
             Diagram.from_quads([(1, 3, 2, 4), (1, 4, 2, 3)])
         with pytest.raises(PDArcError):
             Diagram.from_quads([])
+
+    def test_wrong_stored_sign_rejected(self):
+        # the slots alone fix every over-strand's direction in these rows, so
+        # a flipped stored sign contradicts the orientation
+        flips = 0
+        for d in bundled_table().values():
+            for i, x in enumerate(d.crossings):
+                xs = list(d.crossings)
+                xs[i] = Crossing(x.slots, -x.sign)
+                with pytest.raises(PDOrientationError):
+                    Diagram(xs, d.free_loops)
+                flips += 1
+        assert flips == 82
 
     def test_orientation_conflict(self):
         # two crossings forcing arc 1 incoming (slot 0) at both ends
@@ -192,6 +211,18 @@ class TestSwitchAndMirror:
             d = bundled_table()[name]
             assert mirror(d).writhe == -d.writhe
             assert mirror(mirror(d)) == d
+
+    def test_one_diagram_built_per_derived_diagram(self, builds):
+        rows = [d for d in bundled_table().values() if d.n_crossings >= 3]
+        for d in rows:
+            builds.clear()
+            m = mirror(d)
+            assert len(builds) == 1
+            assert [x.sign for x in m.crossings] == [-x.sign for x in d.crossings]
+            builds.clear()
+            out = SingularDiagram(d, (0, 2)).resolved({0: 1, 2: 1})
+            assert len(builds) == 1
+            assert out.crossings[0].sign == out.crossings[2].sign == 1
 
     def test_out_of_range_switch(self):
         with pytest.raises(IndexError):
@@ -404,17 +435,44 @@ class TestProperties:
         labels = [a for a in range(1, 2 * c + 1) for _ in range(2)]
         rnd.shuffle(labels)
         quads = [tuple(labels[4 * i : 4 * i + 4]) for i in range(c)]
-        # oracle: every sign vector that gives a valid diagram
-        valid = set()
+        # oracle: the components of every sign vector that gives a valid
+        # diagram; Diagram must build exactly these, with these components
+        valid = {}
         for signs in itertools.product((1, -1), repeat=c):
+            comps = _oriented_components(quads, signs)
             try:
-                Diagram([Crossing(q, s) for q, s in zip(quads, signs)])
-            except PDError:
+                d = Diagram([Crossing(q, s) for q, s in zip(quads, signs)])
+            except PDOrientationError:
+                assert comps is None
                 continue
-            valid.add(signs)
+            assert d.components == comps
+            valid[signs] = comps
         try:
             d = Diagram.from_quads(quads)
-        except PDError:
+        except PDOrientationError:
             assert not valid
             return
-        assert tuple(x.sign for x in d.crossings) in valid
+        assert d.components == valid[tuple(x.sign for x in d.crossings)]
+
+
+def _oriented_components(quads, signs):
+    """Arc cycles of the quads under these signs, least arc first and sorted,
+    or None unless every arc ends once at an incoming and once at an
+    outgoing slot."""
+    succ, ins, outs = {}, [], []
+    for (a, b, c, d), s in zip(quads, signs):
+        over_in, over_out = (d, b) if s > 0 else (b, d)
+        succ[a], succ[over_in] = c, over_out
+        ins += [a, over_in]
+        outs += [c, over_out]
+    arcs = {a for q in quads for a in q}
+    if sorted(ins) != sorted(arcs) or sorted(outs) != sorted(arcs):
+        return None
+    comps, left = [], set(arcs)
+    while left:
+        cycle = [min(left)]
+        while succ[cycle[-1]] != cycle[0]:
+            cycle.append(succ[cycle[-1]])
+        left -= set(cycle)
+        comps.append(tuple(cycle))
+    return tuple(comps)
