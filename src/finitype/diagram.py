@@ -24,8 +24,11 @@ downstream invariants are computed from the combinatorics.
 from __future__ import annotations
 
 import re
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import accumulate, chain, product
+from operator import itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 __all__ = [
@@ -213,41 +216,80 @@ class Diagram:
 
     # -- canonical form ------------------------------------------------
 
-    def _relabelings(self) -> Iterator[dict[int, int]]:
-        """All arc relabelings from cyclic start choices, component order kept."""
-        if not self.components:
-            yield {}
-            return
+    def _rotations(self) -> Iterator[tuple[int, ...]]:
+        """Every choice of one start position per component (see _labels)."""
+        return product(*(range(len(comp)) for comp in self.components))
 
-        def choices(ci: int) -> Iterator[tuple[int, ...]]:
-            comp = self.components[ci]
-            for k in range(len(comp)):
-                yield comp[k:] + comp[:k]
+    def _labels(self, starts: Sequence[int]) -> list[int]:
+        """The arc relabeling of one cyclic start choice, component order kept.
 
-        def rec(ci: int, acc: list[int]) -> Iterator[dict[int, int]]:
-            if ci == len(self.components):
-                yield {arc: i + 1 for i, arc in enumerate(acc)}
-                return
-            for rot in choices(ci):
-                yield from rec(ci + 1, acc + list(rot))
-
-        yield from rec(0, [])
+        Arc positions number the components' arcs in turn.  Component ci is
+        numbered on from its arc at position starts[ci], and labels[g] is
+        the new label of the arc at position g.
+        """
+        labels, base = [], 0
+        for comp, s in zip(self.components, starts):
+            top = base + len(comp)
+            labels += range(top - s + 1, top + 1)
+            labels += range(base + 1, top - s + 1)
+            base = top
+        return labels
 
     def canonical_key(self) -> str:
-        """The minimal serialization over cyclic arc relabelings (component
-        order preserved), with crossings sorted by their relabeled slots."""
-        if self._key is not None:
-            return self._key
-        quads = [x.slots for x in self.crossings]
-        body = min(
-            " ".join(
-                "X[%d,%d,%d,%d]" % q
-                for q in sorted((m[a], m[b], m[c], m[d]) for a, b, c, d in quads)
-            )
-            for m in self._relabelings()
-        )
-        self._key = f"components={self.n_components} arcs={2 * self.n_crossings} {body}".rstrip()
+        """The least serialization over cyclic arc relabelings (component
+        order preserved), with crossings sorted by their relabeled slots.
+
+        Keys compare as strings, not as tuples ("X[10," < "X[2,", and in
+        the last slot "45]" < "4]"), but no token is a prefix of another,
+        so the least string starts with the least first token.  The search
+        runs in two phases.  Phase 1 computes only each relabeling's first
+        token, in O(1): slot 0 is an incoming under-arc, so slot-0 labels
+        are distinct, and the numerically first crossing is the one entered
+        under first from the start, in the first component that passes
+        under at all.  Phase 2 sorts and formats only the relabelings whose
+        first token is least, and keeps the least string.
+        """
+        if self._key is None:
+            body = self._least_body()
+            head = f"components={self.n_components} arcs={2 * self.n_crossings}"
+            self._key = f"{head} {body}".rstrip()
         return self._key
+
+    def _least_body(self) -> str:
+        """The crossing tokens of the key: the two-phase search."""
+        if not self.crossings:
+            return ""
+        sizes = [len(comp) for comp in self.components]
+        base = [0, *accumulate(sizes)]
+        position = {arc: g for g, arc in enumerate(chain.from_iterable(self.components))}
+        quads = {position[x.slots[0]]: [position[a] for a in x.slots] for x in self.crossings}
+        # u is the first component that passes under.  Numbered from its arc
+        # at position b + s, it enters under first at crossing g0 g1 g2 g3;
+        # rows[s] holds that crossing's two under-labels, its over-strand's
+        # component v and the over-arcs' offsets in v
+        u = bisect_right(base, min(quads)) - 1
+        b, n = base[u], sizes[u]
+        ins = sorted(g for g in quads if g < b + n)
+        rows = []
+        for s in range(n):
+            g0, g1, g2, g3 = quads[ins[bisect_left(ins, b + s) % len(ins)]]
+            v = bisect_right(base, g1) - 1
+            under = (g0 - b - s) % n + b + 1, (g2 - b - s) % n + b + 1
+            rows.append((*under, v, g1 - base[v], g3 - base[v]))
+        best, survivors = None, []
+        for starts in self._rotations():
+            a, c, v, p1, p3 = rows[starts[u]]
+            t, m, w = starts[v], sizes[v], base[v] + 1
+            token = "X[%d,%d,%d,%d]" % (a, (p1 - t) % m + w, c, (p3 - t) % m + w)
+            if best is None or token < best:
+                best, survivors = token, [starts]
+            elif token == best:
+                survivors.append(starts)
+        slots = [itemgetter(*map(position.__getitem__, x.slots)) for x in self.crossings]
+        return min(
+            " ".join("X[%d,%d,%d,%d]" % q for q in sorted(get(labels) for get in slots))
+            for labels in map(self._labels, survivors)
+        )
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Diagram) and self.canonical_key() == other.canonical_key()
@@ -523,25 +565,24 @@ class SingularDiagram:
     def canonical_key(self) -> str:
         if self._key is not None:
             return self._key
+        d = self.diagram
+        position = {arc: g for g, arc in enumerate(chain.from_iterable(d.components))}
         best = None
-        for mapping in self.diagram._relabelings():
+        for labels in map(d._labels, d._rotations()):
             toks = []
-            for i, x in enumerate(self.diagram.crossings):
-                q = tuple(mapping[s] for s in x.slots)
+            for i, x in enumerate(d.crossings):
+                q = tuple(labels[position[s]] for s in x.slots)
                 if i in self.marked:
                     rots = [q[k:] + q[:k] for k in range(4)]
                     q = min(rots)
                     toks.append("D[%d,%d,%d,%d]" % q)
                 else:
                     toks.append("X[%d,%d,%d,%d]" % q)
-            s = (
-                f"components={self.diagram.n_components} "
-                f"arcs={2 * self.diagram.n_crossings} " + " ".join(sorted(toks))
-            )
+            s = f"components={d.n_components} arcs={2 * d.n_crossings} " + " ".join(sorted(toks))
             if best is None or s < best:
                 best = s
-        self._key = best
-        return best
+        self._key = best.rstrip()
+        return self._key
 
     def __eq__(self, other) -> bool:
         return (

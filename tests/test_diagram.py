@@ -25,6 +25,7 @@ from finitype.diagram import (
     switch_crossing,
     to_gauss,
 )
+from finitype.goussarov import switch_family
 from finitype.tables import bundled_table
 
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -267,7 +268,9 @@ class TestCanonicalForm:
         assert switch_crossing(d, 0).canonical_key() != d.canonical_key()
 
     def test_crossingless_key(self):
-        assert parse_pd("components=1 arcs=0").canonical_key() == "components=1 arcs=0"
+        loop = parse_pd("components=1 arcs=0")
+        assert loop.canonical_key() == "components=1 arcs=0"
+        assert SingularDiagram(loop, ()).canonical_key() == "components=1 arcs=0"
 
     def test_pinned_keys(self):
         # key strings order FormalSum terms and appear in CLI output
@@ -277,15 +280,78 @@ class TestCanonicalForm:
         )
         assert t["hopf"].canonical_key() == "components=2 arcs=4 X[1,3,2,4] X[3,1,4,2]"
         assert t["unlink2"].canonical_key() == "components=2 arcs=0"
+        # the least string, not the least tuple: "X[1,12," < "X[1,8,"
+        assert t["8_3"].canonical_key() == (
+            "components=1 arcs=16 X[1,12,2,13] X[3,10,4,11] X[5,1,6,16] X[7,15,8,14]"
+            " X[9,4,10,5] X[11,2,12,3] X[13,9,14,8] X[15,7,16,6]"
+        )
         assert SingularDiagram(t["3_1"], (0,)).canonical_key() == (
             "components=1 arcs=6 D[1,3,6,4] X[1,4,2,5] X[5,2,6,3]"
         )
+
+    def test_key_matches_its_definition_on_relabeled_rows(self):
+        rng = random.Random(27)
+        for name, d in bundled_table().items():
+            arcs = d.arcs()
+            for _ in range(5):
+                offset = rng.randrange(100)
+                labels = rng.sample(range(1, 3 * len(arcs) + 1), len(arcs))
+                r = d.relabeled({a: offset + b for a, b in zip(arcs, labels)})
+                assert r.canonical_key() == _least_serialization(r), name
+
+    def test_key_matches_its_definition_on_switch_families(self):
+        for name, k in bundled_table().items():
+            if not k.is_knot():
+                continue
+            for size in (0, 1, 2):
+                for crossings in itertools.combinations(range(k.n_crossings), size):
+                    fam = switch_family(k, crossings)
+                    states = {}
+                    for mask in range(1 << fam.m):
+                        res = fam.resolve(r for r in range(fam.m) if mask >> r & 1)
+                        states[id(res)] = res
+                    for res in states.values():
+                        assert res.canonical_key() == _least_serialization(res), (name, crossings)
+
+    def test_key_matches_its_definition_on_random_labellings(self):
+        rng = random.Random(2027)
+        checked = first_never_under = 0
+        for _ in range(3000):
+            c = rng.randint(1, 6)
+            labels = [a for a in range(1, 2 * c + 1) for _ in range(2)]
+            rng.shuffle(labels)
+            try:
+                d = Diagram.from_quads([labels[4 * i : 4 * i + 4] for i in range(c)])
+            except PDError:
+                continue
+            checked += 1
+            first_never_under += not {x.under_in for x in d.crossings} & set(d.components[0])
+            assert d.canonical_key() == _least_serialization(d), serialize_pd(d)
+        # the first component need not pass under; the key's search must
+        # then start from a later one
+        assert checked > 1000 and first_never_under > 100
 
     def test_key_is_computed_once(self):
         d = parse_pd(TREFOIL)
         assert d.canonical_key() is d.canonical_key()
         k = SingularDiagram(d, (0,))
         assert k.canonical_key() is k.canonical_key()
+
+
+def _least_serialization(d):
+    """The canonical key by its definition: for every choice of one start arc
+    per component, number the components' arcs in turn from their starts,
+    sort the relabeled quads numerically, and join their tokens; the key
+    holds the least of these strings."""
+    bodies = []
+    for starts in itertools.product(*(range(len(comp)) for comp in d.components)):
+        label = {}
+        for comp, s in zip(d.components, starts):
+            for j in range(len(comp)):
+                label[comp[(s + j) % len(comp)]] = len(label) + 1
+        quads = sorted(tuple(label[a] for a in x.slots) for x in d.crossings)
+        bodies.append(" ".join("X[%d,%d,%d,%d]" % q for q in quads))
+    return f"components={d.n_components} arcs={2 * d.n_crossings} {min(bodies)}".rstrip()
 
 
 class TestGaussCode:

@@ -123,14 +123,15 @@ class TestSharedResolutions:
     def test_one_relabeling_search_per_distinct_resolution(self, monkeypatch):
         # a fresh parse, so no key of the cached table diagram is reused
         fam = switch_family(parse_pd(serialize_pd(T["5_1"])), (0, 1, 2))
+        # every uncached Diagram key runs the search kernel once
         searches = []
-        original = Diagram._relabelings
+        original = Diagram._least_body
 
         def counted(self):
             searches.append(self)
             return original(self)
 
-        monkeypatch.setattr(Diagram, "_relabelings", counted)
+        monkeypatch.setattr(Diagram, "_least_body", counted)
         goussarov_difference(fam, get_invariant("c2"))
         assert len(searches) == 8
 

@@ -26,14 +26,15 @@ class TestKeyWork:
     def test_one_relabeling_search_per_resolution(self, monkeypatch):
         # a fresh parse, so no key of the cached table diagram is reused
         k = parse_pd(serialize_pd(T["5_1"]))
+        # every uncached Diagram key runs the search kernel once
         searches = []
-        original = Diagram._relabelings
+        original = Diagram._least_body
 
         def counted(self):
             searches.append(self)
             return original(self)
 
-        monkeypatch.setattr(Diagram, "_relabelings", counted)
+        monkeypatch.setattr(Diagram, "_least_body", counted)
         vassiliev_difference(k, (0, 1, 2), get_invariant("c2"))
         assert len(searches) == 8
 
