@@ -33,7 +33,7 @@ from .goussarov import (
     theorem1_identity_check,
 )
 from .invariants import InvariantError, get_invariant, invariant_names, linking_matrix
-from .tables import TableError, load_suite, resolve_diagram_ref
+from .tables import _read_file, load_suite, resolve_diagram_ref
 from .vassiliev import vassiliev_type_check
 
 __all__ = ["main", "build_parser"]
@@ -71,12 +71,7 @@ def _load_pd(ref: str, max_crossings: int):
 
 
 def _load_family(path: str, max_crossings: int):
-    try:
-        with open(path) as fh:
-            text = fh.read()
-    except OSError as e:
-        raise TableError(f"cannot read {path}: {e.strerror or e}") from e
-    fam = parse_family(text)
+    fam = parse_family(_read_file(path))
     _check_crossings("family", len(fam.quads), max_crossings)
     return fam
 
@@ -387,9 +382,6 @@ def main(argv=None) -> int:
         return 2
     except (PDError, FamilyError) as e:
         print(f"parse error: {e}", file=sys.stderr)
-        return 2
-    except TableError as e:
-        print(f"input error: {e}", file=sys.stderr)
         return 2
     except (InvariantError, ValueError, IndexError) as e:
         print(f"input error: {e}", file=sys.stderr)

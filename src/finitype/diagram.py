@@ -141,6 +141,25 @@ class _ArcUnion:
             self.count -= 1
 
 
+def _glue(
+    arcs: Iterable[int], joins: Iterable[tuple[int, int]], quads: Iterable[tuple[int, ...]]
+) -> tuple[tuple[tuple[int, ...], ...], int]:
+    """Glue arcs into classes along joins and relabel quads by class.
+
+    Each join (u, v) puts arcs u and v in one class.  The quads' arcs are
+    relabelled 1, 2, ... by class, the classes numbered in order of their
+    union-find representatives, least first.  Returns the relabelled quads
+    and the number of classes that no quad uses.
+    """
+    uf = _ArcUnion(arcs)
+    for u, v in joins:
+        uf.union(u, v)
+    root = {a: uf.find(a) for a in uf.parent}
+    reps = [[root[a] for a in q] for q in quads]
+    label = {r: i for i, r in enumerate(sorted({r for q in reps for r in q}), 1)}
+    return tuple(tuple(map(label.__getitem__, q)) for q in reps), uf.count - len(label)
+
+
 class Diagram:
     """An oriented link diagram: crossings plus crossingless free loops.
 
@@ -208,11 +227,6 @@ class Diagram:
         for i in range(self.n_crossings):
             uf.union(*self.crossing_components(i))
         return uf.count == 1
-
-    # -- transformation helpers ---------------------------------------
-
-    def relabeled(self, mapping: dict[int, int]) -> "Diagram":
-        return Diagram([x.relabel(mapping) for x in self.crossings], self.free_loops)
 
     # -- canonical form ------------------------------------------------
 

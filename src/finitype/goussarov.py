@@ -10,10 +10,12 @@ degenerates to the surviving strand running straight through.  This makes
 "take the detour / don't" a pure subset operation: resolve(S) depends
 only on S, which is the well-definedness the iterated differences need.
 
-All 2^m states are resolved and checked eagerly at construction.  States
-whose relabelled slot quads agree share one Diagram, built once with
-Diagram.from_quads: a switch family on p crossings builds 2^p diagrams
-for its 2^(2p) states.  Every resolution must be a knot.
+All 2^m states are resolved and checked eagerly at construction, and
+resolving a state and freezing a region apply one rule: _degenerate
+keeps or degenerates each crossing, and diagram._glue glues the arcs.
+States whose glued quads agree share one Diagram, built once with its
+arcs numbered along the knot: a switch family on p crossings builds 2^p
+diagrams for its 2^(2p) states.  Every resolution must be a knot.
 
 switch_family splices one switch-gadget pair per listed crossing; it is
 the only gadget builder, and the two encodings that bridge crossing
@@ -28,9 +30,9 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
-from .diagram import Diagram, FormalSum, PDError, SingularDiagram, _ArcUnion
+from .diagram import Crossing, Diagram, FormalSum, PDError, SingularDiagram, _glue, _walk
 from .invariants import Invariant, evaluate_on_sum
 from .vassiliev import TypeCheckCase, TypeCheckReport, resolve_all
 
@@ -82,10 +84,27 @@ class SwitchRegion:
     route1: Route
 
 
-def _renumber(d: Diagram) -> Diagram:
-    """Relabel arcs 1..2c in traversal order (components by minimal arc)."""
-    order = [a for comp in d.components for a in comp]
-    return d.relabeled({a: i + 1 for i, a in enumerate(order)})
+def _degenerate(
+    quads: Iterable[tuple[int, ...]], present: set[int], where: Callable[[], str]
+) -> tuple[list[tuple[int, ...]], list[tuple[int, int]]]:
+    """The crossings of quads whose four arcs are all present, and the joins
+    (u, v) that run a surviving strand straight through each crossing whose
+    other strand is absent.  A crossing with one strand half-present raises
+    FamilyError, and where() names the state in its message.
+    """
+    kept, through = [], []
+    for q in quads:
+        a, b, c, d = q
+        pa, pb = a in present, b in present
+        if pa != (c in present) or pb != (d in present):
+            raise FamilyError(f"crossing X[{a},{b},{c},{d}] is half-present {where()}")
+        if pa and pb:
+            kept.append(q)
+        elif pa:
+            through.append((a, c))
+        elif pb:
+            through.append((b, d))
+    return kept, through
 
 
 class DetourFamily:
@@ -108,15 +127,12 @@ class DetourFamily:
             raise FamilyError(
                 f"{len(self.regions)} regions exceed the limit of {MAX_REGIONS}"
             )
-        owned_list: list[set[int]] = []
-        for r in self.regions:
-            for route in {r.route0, r.route1}:
-                owned_list.append(set(route.arcs))
+        owned_list = [set(route.arcs) for r in self.regions for route in {r.route0, r.route1}]
         for i, s in enumerate(owned_list):
             for t in owned_list[i + 1 :]:
                 if s & t:
                     raise FamilyError(f"arcs {sorted(s & t)} owned by two routes")
-        route_owned = set().union(*owned_list) if owned_list else set()
+        route_owned = set().union(*owned_list)
         mentioned = {a for q in self.quads for a in q}
         mentioned |= {a for j in self.host_joins for a in j}
         for r in self.regions:
@@ -140,66 +156,46 @@ class DetourFamily:
 
     def _build(self, mask: int, built: dict) -> Diagram:
         """The resolution of mask.  States are checked one by one, but
-        states whose relabelled quads agree share the Diagram in built."""
+        states whose glued quads agree share the one Diagram in built."""
         present = set(self.host_arcs)
         joins = list(self.host_joins)
         for i, r in enumerate(self.regions):
             route = r.route1 if mask >> i & 1 else r.route0
             present.update(route.arcs)
             joins += route.joins
-
-        uf = _ArcUnion(present)
-        for u, v in joins:
-            # a join whose arc is absent glues nothing; genuine dangling ends
-            # are caught below when some class fails to close up
-            if u in present and v in present:
-                uf.union(u, v)
-
-        kept: list[tuple[int, int, int, int]] = []
-        for q in self.quads:
-            a, b, c, d = q
-            pa, pb = a in present, b in present
-            if pa != (c in present) or pb != (d in present):
-                raise FamilyError(
-                    f"crossing X[{a},{b},{c},{d}] is half-present in state "
-                    f"{self._state_name(mask)}"
-                )
-            if pa and pb:
-                kept.append(q)
-            elif pa:
-                uf.union(a, c)
-            elif pb:
-                uf.union(b, d)
-
-        root = {a: uf.find(a) for a in present}
-        used = {root[a] for q in kept for a in q}
-        loops = set(root.values()) - used
-        if loops and (kept or len(loops) > 1):
+        kept, through = _degenerate(
+            self.quads, present, lambda: f"in state {self._state_name(mask)}"
+        )
+        # a join whose arc is absent glues nothing; genuine dangling ends
+        # fail validation in _diagram
+        joins = [(u, v) for u, v in joins if u in present and v in present]
+        quads, loops = _glue(present, joins + through, kept)
+        if loops and (quads or loops > 1):
             raise FamilyError(
                 f"state {self._state_name(mask)} leaves a closed loop with no crossings"
             )
-        relabel = {rep: i + 1 for i, rep in enumerate(sorted(used))}
-        quads = tuple(tuple(relabel[root[a]] for a in q) for q in kept)
         if quads not in built:
             built[quads] = self._diagram(mask, quads)
         return built[quads]
 
     def _diagram(self, mask: int, quads: tuple[tuple[int, ...], ...]) -> Diagram:
-        """The renumbered knot of one state's relabelled quads."""
+        """The knot of one state's glued quads, its arcs numbered 1..2c
+        along the knot from its least arc: one walk, then one build."""
         if not quads:
             return Diagram((), 1)
         try:
-            d = Diagram.from_quads(quads)
+            signs, components = _walk(quads)
         except PDError as e:
             raise FamilyError(
                 f"state {self._state_name(mask)} is not a valid diagram: {e}"
             ) from e
-        if d.n_components != 1:
+        if len(components) != 1:
             raise FamilyError(
-                f"state {self._state_name(mask)} has {d.n_components} components; "
+                f"state {self._state_name(mask)} has {len(components)} components; "
                 "hosts must resolve to knots"
             )
-        return _renumber(d)
+        label = {a: i for i, a in enumerate(components[0], 1)}
+        return Diagram([Crossing(tuple(label[a] for a in q), s) for q, s in zip(quads, signs)])
 
     def _state_name(self, mask: int) -> str:
         taken = [str(i + 1) for i in range(self.m) if mask >> i & 1]
@@ -224,23 +220,11 @@ class DetourFamily:
         declared = set(self.host_arcs) | set(chosen.arcs)
         for other in rest:
             declared |= set(other.route0.arcs) | set(other.route1.arcs)
-        quads = []
+        quads, through = _degenerate(
+            self.quads, declared, lambda: f"when region {r} is frozen"
+        )
         joins = [j for j in self.host_joins if all(a in declared for a in j)]
-        for q in self.quads:
-            a, b, c, d = q
-            da, db, dc, dd = (x in declared for x in q)
-            if da != dc or db != dd:
-                raise FamilyError(
-                    f"crossing X[{a},{b},{c},{d}] loses half a strand when "
-                    f"region {r} is frozen"
-                )
-            if da and db:
-                quads.append(q)
-            elif da:  # over strand gone for good: under runs straight through
-                joins.append((a, c))
-            elif db:
-                joins.append((b, d))
-        return DetourFamily(quads, rest, tuple(joins) + chosen.joins)
+        return DetourFamily(quads, rest, tuple(joins + through) + chosen.joins)
 
     def canonical_key(self) -> str:
         if self._key is None:

@@ -28,7 +28,7 @@ from fractions import Fraction
 from itertools import zip_longest
 from typing import Callable
 
-from .diagram import Diagram, FormalSum, _ArcUnion, switch_crossing
+from .diagram import Crossing, Diagram, FormalSum, _glue, switch_crossing
 from .exact_math import LaurentPoly
 
 __all__ = [
@@ -156,21 +156,10 @@ def _smooth_oriented(d: Diagram, i: int) -> Diagram:
     """Orientation-respecting smoothing of crossing i."""
     x = d.crossings[i]
     a, b, c, dd = x.slots
-    arcs = d.arcs()
-    uf = _ArcUnion(arcs)
-    if x.sign > 0:
-        uf.union(a, b)
-        uf.union(dd, c)
-    else:
-        uf.union(a, dd)
-        uf.union(b, c)
-    rest = [y for j, y in enumerate(d.crossings) if j != i]
-    used = {uf.find(s) for y in rest for s in y.slots}
-    reps = {uf.find(arc) for arc in arcs}
-    new_free = d.free_loops + len([r for r in reps if r not in used])
-    relabel = {r: k + 1 for k, r in enumerate(sorted(used))}
-    new_crossings = [y.relabel({s: relabel[uf.find(s)] for s in y.slots}) for y in rest]
-    return Diagram(new_crossings, new_free)
+    joins = ((a, b), (dd, c)) if x.sign > 0 else ((a, dd), (b, c))
+    rest = d.crossings[:i] + d.crossings[i + 1 :]
+    quads, loops = _glue(d.arcs(), joins, [y.slots for y in rest])
+    return Diagram([Crossing(q, y.sign) for q, y in zip(quads, rest)], d.free_loops + loops)
 
 
 def _det(m: list[list[int]]) -> int:
@@ -214,20 +203,19 @@ def _alexander(d: Diagram) -> list[int]:
     have coefficient l1-norm at most 4, so each coefficient of the minor
     is below 4^(c-1) in absolute value and is one signed base-2^B digit.
     """
-    arcs = d.arcs()
-    uf = _ArcUnion(arcs)
-    for x in d.crossings:
-        uf.union(x.over_in, x.over_out)
-    gen = {r: k for k, r in enumerate(sorted({uf.find(a) for a in arcs}))}
-    bits = 2 * d.n_crossings + 8
+    # Wirtinger arcs 1..c: the PD arcs glued through each over-passage
+    joins = [(x.over_in, x.over_out) for x in d.crossings]
+    quads, _ = _glue(d.arcs(), joins, [x.slots for x in d.crossings])
+    n = d.n_crossings
+    bits = 2 * n + 8
     t = 1 << bits
     rows = []
-    for x in d.crossings[:-1]:  # c Wirtinger arcs: drop the last row and column
-        into, out = (x.under_in, x.under_out) if x.sign > 0 else (x.under_out, x.under_in)
-        row = [0] * len(gen)
-        row[gen[uf.find(x.over_in)]] += 1 - t
-        row[gen[uf.find(into)]] += t
-        row[gen[uf.find(out)]] -= 1
+    for x, (a, b, c, e) in zip(d.crossings[:-1], quads):  # drop the last row and column
+        over, into, out = (e, a, c) if x.sign > 0 else (b, c, a)
+        row = [0] * n
+        row[over - 1] += 1 - t
+        row[into - 1] += t
+        row[out - 1] -= 1
         rows.append(row[:-1])
     det = _det(rows)
     coeffs = []

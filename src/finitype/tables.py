@@ -45,9 +45,10 @@ def bundled_table(name: str = "knots.pdtab") -> dict[str, Diagram]:
     return dict(_bundled(name))
 
 
-def _read_file(path: Path) -> str:
+def _read_file(path: str | Path) -> str:
     try:
-        return path.read_text()
+        with open(path) as fh:
+            return fh.read()
     except OSError as e:
         raise TableError(f"cannot read {path}: {e.strerror or e}") from e
 

@@ -31,6 +31,11 @@ from finitype.tables import bundled_table
 TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
 
+def relabeled(d: Diagram, mapping: dict[int, int]) -> Diagram:
+    """d with every arc label a replaced by mapping[a]."""
+    return Diagram([x.relabel(mapping) for x in d.crossings], d.free_loops)
+
+
 @pytest.fixture
 def builds(monkeypatch):
     """Every Diagram constructed while the test runs."""
@@ -240,8 +245,8 @@ class TestCanonicalForm:
             for _ in range(5):
                 shuffled = arcs[:]
                 rng.shuffle(shuffled)
-                relabeled = d.relabeled(dict(zip(arcs, shuffled)))
-                assert relabeled.canonical_key() == d.canonical_key()
+                r = relabeled(d, dict(zip(arcs, shuffled)))
+                assert r.canonical_key() == d.canonical_key()
 
     def test_relabeling_invariance_links(self):
         # component order is data, so only within-component rotations are
@@ -255,8 +260,7 @@ class TestCanonicalForm:
                     r = rng.randrange(len(comp))
                     for i, a in enumerate(comp):
                         mapping[a] = comp[(i + r) % len(comp)]
-                relabeled = d.relabeled(mapping)
-                assert relabeled.canonical_key() == d.canonical_key()
+                assert relabeled(d, mapping).canonical_key() == d.canonical_key()
 
     def test_distinct_diagrams_distinct_keys(self):
         t = bundled_table()
@@ -296,7 +300,7 @@ class TestCanonicalForm:
             for _ in range(5):
                 offset = rng.randrange(100)
                 labels = rng.sample(range(1, 3 * len(arcs) + 1), len(arcs))
-                r = d.relabeled({a: offset + b for a, b in zip(arcs, labels)})
+                r = relabeled(d, {a: offset + b for a, b in zip(arcs, labels)})
                 assert r.canonical_key() == _least_serialization(r), name
 
     def test_key_matches_its_definition_on_switch_families(self):
@@ -407,8 +411,8 @@ class TestSingularDiagram:
 class TestFormalSum:
     def test_cancellation(self):
         d = bundled_table()["3_1"]
-        relabeled = d.relabeled(dict(zip(d.arcs(), [a + 10 for a in d.arcs()])))
-        s = FormalSum.single(d) + FormalSum.single(relabeled, -1)
+        r = relabeled(d, dict(zip(d.arcs(), [a + 10 for a in d.arcs()])))
+        s = FormalSum.single(d) + FormalSum.single(r, -1)
         assert s.is_zero()
 
     def test_merge_and_coefficient(self):
@@ -468,7 +472,7 @@ class TestProperties:
             return
         offset = rnd.randrange(1, 50)
         mapping = {a: a + offset for a in arcs}
-        assert d.relabeled(mapping).canonical_key() == d.canonical_key()
+        assert relabeled(d, mapping).canonical_key() == d.canonical_key()
 
     @given(table_diagrams(), st.integers(0, 7))
     @settings(max_examples=40, deadline=None)

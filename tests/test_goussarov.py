@@ -95,6 +95,11 @@ class TestConstruction:
         fam = encode_crossing_as_detours(T["3_1"], 0)
         base = fam.resolve(())
         assert base.arcs() == list(range(1, 2 * base.n_crossings + 1))
+        # every state is numbered 1..2c along its one component
+        fam = switch_family(T["4_1"], (0, 2))
+        for mask in range(1 << fam.m):
+            d = fam.resolve(r for r in range(fam.m) if mask >> r & 1)
+            assert d.components == (tuple(range(1, 2 * d.n_crossings + 1)),), mask
 
     def test_m_and_trivial_property(self):
         fam = switch_family(T["3_1"], (0, 1))
@@ -106,14 +111,15 @@ class TestSharedResolutions:
     """States with equal relabelled quads share one validated Diagram."""
 
     def test_one_diagram_per_switched_subset(self, monkeypatch):
+        # one Diagram per distinct resolution, each built once
         builds = []
-        original = Diagram.from_quads
+        original = Diagram.__init__
 
-        def counted(cls, quads):
-            builds.append(quads)
-            return original(quads)
+        def counted(self, *args, **kwargs):
+            builds.append(args)
+            original(self, *args, **kwargs)
 
-        monkeypatch.setattr(Diagram, "from_quads", classmethod(counted))
+        monkeypatch.setattr(Diagram, "__init__", counted)
         fam = switch_family(T["5_1"], (0, 1, 2))
         assert fam.m == 6
         states = [fam.resolve(r for r in range(6) if mask >> r & 1) for mask in range(64)]
