@@ -24,12 +24,11 @@ downstream invariants are computed from the combinatorics.
 from __future__ import annotations
 
 import re
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import accumulate, chain, product
-from operator import itemgetter
-from typing import Callable, Iterable, Iterator, Sequence
+from itertools import accumulate
+from typing import Callable, Iterable, Sequence
 
 __all__ = [
     "PDError",
@@ -89,10 +88,6 @@ class Crossing:
         return self.slots[0]
 
     @property
-    def under_out(self) -> int:
-        return self.slots[2]
-
-    @property
     def over_in(self) -> int:
         return self.slots[3] if self.sign > 0 else self.slots[1]
 
@@ -103,9 +98,6 @@ class Crossing:
     def token(self) -> str:
         a, b, c, d = self.slots
         return f"X[{a},{b},{c},{d}]"
-
-    def relabel(self, mapping: dict[int, int]) -> "Crossing":
-        return Crossing(tuple(mapping[s] for s in self.slots), self.sign)
 
     def switched(self) -> "Crossing":
         """Exchange over- and under-strand.
@@ -230,80 +222,78 @@ class Diagram:
 
     # -- canonical form ------------------------------------------------
 
-    def _rotations(self) -> Iterator[tuple[int, ...]]:
-        """Every choice of one start position per component (see _labels)."""
-        return product(*(range(len(comp)) for comp in self.components))
-
-    def _labels(self, starts: Sequence[int]) -> list[int]:
-        """The arc relabeling of one cyclic start choice, component order kept.
-
-        Arc positions number the components' arcs in turn.  Component ci is
-        numbered on from its arc at position starts[ci], and labels[g] is
-        the new label of the arc at position g.
-        """
-        labels, base = [], 0
-        for comp, s in zip(self.components, starts):
-            top = base + len(comp)
-            labels += range(top - s + 1, top + 1)
-            labels += range(base + 1, top - s + 1)
-            base = top
-        return labels
-
     def canonical_key(self) -> str:
         """The least serialization over cyclic arc relabelings (component
         order preserved), with crossings sorted by their relabeled slots.
 
-        Keys compare as strings, not as tuples ("X[10," < "X[2,", and in
-        the last slot "45]" < "4]"), but no token is a prefix of another,
-        so the least string starts with the least first token.  The search
-        runs in two phases.  Phase 1 computes only each relabeling's first
-        token, in O(1): slot 0 is an incoming under-arc, so slot-0 labels
-        are distinct, and the numerically first crossing is the one entered
-        under first from the start, in the first component that passes
-        under at all.  Phase 2 sorts and formats only the relabelings whose
-        first token is least, and keeps the least string.
+        A relabeling picks one start arc per component and numbers the
+        components' arcs in turn, each in walk order from its start.  Keys
+        compare as strings, not as tuples ("X[10," < "X[2,", and in the last
+        slot "45]" < "4]"); see _least_body for the search.
         """
         if self._key is None:
-            body = self._least_body()
-            head = f"components={self.n_components} arcs={2 * self.n_crossings}"
-            self._key = f"{head} {body}".rstrip()
+            self._key = self._with_head(self._least_body())
         return self._key
 
-    def _least_body(self) -> str:
-        """The crossing tokens of the key: the two-phase search."""
-        if not self.crossings:
-            return ""
-        sizes = [len(comp) for comp in self.components]
+    def _with_head(self, body: str) -> str:
+        return f"components={self.n_components} arcs={2 * self.n_crossings} {body}".rstrip()
+
+    def _least_body(self, marked: frozenset[int] = frozenset()) -> str:
+        """The crossing tokens of the key, built one token at a time.
+
+        Marked crossings take their positive resolution and are written
+        D[...].  Slot 0 is an incoming under-arc, so slot-0 labels are
+        distinct and the tokens come in the order of their under-arcs:
+        component by component, each in walk order from its start.  The
+        search keeps partial start choices.  A component's start is branched
+        over only when a token first needs it, as the under-component at the
+        head of its group or as a token's over-component.  After each token
+        only the choices whose token is the least string survive; no token
+        is a prefix of another, so the least key extends the least tokens.
+        """
+        comps = self.components
+        sizes = [len(comp) for comp in comps]
         base = [0, *accumulate(sizes)]
-        position = {arc: g for g, arc in enumerate(chain.from_iterable(self.components))}
-        quads = {position[x.slots[0]]: [position[a] for a in x.slots] for x in self.crossings}
-        # u is the first component that passes under.  Numbered from its arc
-        # at position b + s, it enters under first at crossing g0 g1 g2 g3;
-        # rows[s] holds that crossing's two under-labels, its over-strand's
-        # component v and the over-arcs' offsets in v
-        u = bisect_right(base, min(quads)) - 1
-        b, n = base[u], sizes[u]
-        ins = sorted(g for g in quads if g < b + n)
-        rows = []
-        for s in range(n):
-            g0, g1, g2, g3 = quads[ins[bisect_left(ins, b + s) % len(ins)]]
-            v = bisect_right(base, g1) - 1
-            under = (g0 - b - s) % n + b + 1, (g2 - b - s) % n + b + 1
-            rows.append((*under, v, g1 - base[v], g3 - base[v]))
-        best, survivors = None, []
-        for starts in self._rotations():
-            a, c, v, p1, p3 = rows[starts[u]]
-            t, m, w = starts[v], sizes[v], base[v] + 1
-            token = "X[%d,%d,%d,%d]" % (a, (p1 - t) % m + w, c, (p3 - t) % m + w)
-            if best is None or token < best:
-                best, survivors = token, [starts]
-            elif token == best:
-                survivors.append(starts)
-        slots = [itemgetter(*map(position.__getitem__, x.slots)) for x in self.crossings]
-        return min(
-            " ".join("X[%d,%d,%d,%d]" % q for q in sorted(get(labels) for get in slots))
-            for labels in map(self._labels, survivors)
-        )
+        where = {arc: (ci, j) for ci, comp in enumerate(comps) for j, arc in enumerate(comp)}
+        # passes[u][j]: the crossing entered under from arc j of component u,
+        # as its token format, over-component and over-arcs' positions there
+        passes: list[dict[int, tuple[str, int, int, int]]] = [{} for _ in comps]
+        for i, x in enumerate(self.crossings):
+            fmt, slots = "X[%d,%d,%d,%d]", x.slots
+            if i in marked:
+                fmt, slots = "D[%d,%d,%d,%d]", (x if x.sign > 0 else x.switched()).slots
+            (u, j), (v, p1), (_, p3) = where[slots[0]], where[slots[1]], where[slots[3]]
+            passes[u][j] = (fmt, v, p1, p3)
+
+        def branch(starts: list, c: int) -> list[list]:
+            if starts[c] is not None:
+                return [starts]
+            return [starts[:c] + [t] + starts[c + 1 :] for t in range(sizes[c])]
+
+        survivors, tokens = [[None] * len(comps)], []
+        for u, under in enumerate(passes):
+            if not under:
+                continue
+            ins, n, b = sorted(under), sizes[u], base[u] + 1
+            survivors = [new for old in survivors for new in branch(old, u)]
+            for k in range(len(ins)):
+                best, kept = None, []
+                for starts in survivors:
+                    s = starts[u]
+                    j = ins[(bisect_left(ins, s) + k) % len(ins)]
+                    fmt, v, p1, p3 = under[j]
+                    for chosen in branch(starts, v):
+                        t, m, w = chosen[v], sizes[v], base[v] + 1
+                        token = fmt % (
+                            (j - s) % n + b, (p1 - t) % m + w, (j + 1 - s) % n + b, (p3 - t) % m + w
+                        )
+                        if best is None or token < best:
+                            best, kept = token, [chosen]
+                        elif token == best:
+                            kept.append(chosen)
+                tokens.append(best)
+                survivors = kept
+        return " ".join(tokens)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Diagram) and self.canonical_key() == other.canonical_key()
@@ -550,9 +540,12 @@ class SingularDiagram:
     """A diagram with a subset of crossings marked as double points.
 
     A marked crossing remembers the transversal strands and the orientation
-    but, semantically, no over/under choice: the canonical form erases it.
-    The stored crossing acts as a bookkeeping resolution.  Like a diagram,
-    it never changes after construction, so its key is computed once.
+    but, semantically, no over/under choice.  The stored crossing acts as a
+    bookkeeping resolution.  The canonical key is the key of the positive
+    resolution, with marked tokens written D[...]: the oriented strands fix
+    that resolution, so the key erases over/under and keeps orientation.
+    Like a diagram, it never changes after construction, so its key is
+    computed once.
     """
 
     __slots__ = ("diagram", "marked", "_key")
@@ -577,25 +570,10 @@ class SingularDiagram:
         return Diagram(xs, self.diagram.free_loops)
 
     def canonical_key(self) -> str:
-        if self._key is not None:
-            return self._key
-        d = self.diagram
-        position = {arc: g for g, arc in enumerate(chain.from_iterable(d.components))}
-        best = None
-        for labels in map(d._labels, d._rotations()):
-            toks = []
-            for i, x in enumerate(d.crossings):
-                q = tuple(labels[position[s]] for s in x.slots)
-                if i in self.marked:
-                    rots = [q[k:] + q[:k] for k in range(4)]
-                    q = min(rots)
-                    toks.append("D[%d,%d,%d,%d]" % q)
-                else:
-                    toks.append("X[%d,%d,%d,%d]" % q)
-            s = f"components={d.n_components} arcs={2 * d.n_crossings} " + " ".join(sorted(toks))
-            if best is None or s < best:
-                best = s
-        self._key = best.rstrip()
+        """The key of the positive resolution, marked tokens written D[...]."""
+        if self._key is None:
+            d = self.diagram
+            self._key = d._with_head(d._least_body(self.marked)) if self.marked else d.canonical_key()
         return self._key
 
     def __eq__(self, other) -> bool:

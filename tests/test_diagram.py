@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from finitype.bracelets import HopfPairBracelet
 from finitype.diagram import (
     Crossing,
     Diagram,
@@ -33,7 +34,9 @@ TREFOIL = "X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
 
 def relabeled(d: Diagram, mapping: dict[int, int]) -> Diagram:
     """d with every arc label a replaced by mapping[a]."""
-    return Diagram([x.relabel(mapping) for x in d.crossings], d.free_loops)
+    return Diagram(
+        [Crossing(tuple(mapping[s] for s in x.slots), x.sign) for x in d.crossings], d.free_loops
+    )
 
 
 @pytest.fixture
@@ -277,7 +280,7 @@ class TestCanonicalForm:
         assert SingularDiagram(loop, ()).canonical_key() == "components=1 arcs=0"
 
     def test_pinned_keys(self):
-        # key strings order FormalSum terms and appear in CLI output
+        # key strings order FormalSum terms, so a changed key can reorder sums
         t = bundled_table()
         assert t["3_1"].canonical_key() == (
             "components=1 arcs=6 X[1,4,2,5] X[3,6,4,1] X[5,2,6,3]"
@@ -289,8 +292,9 @@ class TestCanonicalForm:
             "components=1 arcs=16 X[1,12,2,13] X[3,10,4,11] X[5,1,6,16] X[7,15,8,14]"
             " X[9,4,10,5] X[11,2,12,3] X[13,9,14,8] X[15,7,16,6]"
         )
+        # the positive resolution, its marked token written D[...]
         assert SingularDiagram(t["3_1"], (0,)).canonical_key() == (
-            "components=1 arcs=6 D[1,3,6,4] X[1,4,2,5] X[5,2,6,3]"
+            "components=1 arcs=6 D[1,5,2,4] X[2,5,3,6] X[6,3,1,4]"
         )
 
     def test_key_matches_its_definition_on_relabeled_rows(self):
@@ -335,6 +339,21 @@ class TestCanonicalForm:
         # then start from a later one
         assert checked > 1000 and first_never_under > 100
 
+    def test_bracelet_key_work_is_bounded(self):
+        # 2^32 start choices exist; the search branches over a component's
+        # start only when a token first needs it
+        rng = random.Random(32)
+        perm = rng.sample(range(1, 33), 32)
+        pairs = [(perm[2 * i], perm[2 * i + 1]) for i in range(16)]
+        d = HopfPairBracelet.from_matching(pairs).to_link()
+        mapping = {}
+        for comp in d.components:
+            r = rng.randrange(len(comp))
+            mapping.update((a, comp[(i + r) % len(comp)]) for i, a in enumerate(comp))
+        assert relabeled(d, mapping).canonical_key() == d.canonical_key()
+        other = HopfPairBracelet.from_matching([(i, i + 1) for i in range(1, 33, 2)]).to_link()
+        assert other.canonical_key() != d.canonical_key()
+
     def test_key_is_computed_once(self):
         d = parse_pd(TREFOIL)
         assert d.canonical_key() is d.canonical_key()
@@ -342,19 +361,24 @@ class TestCanonicalForm:
         assert k.canonical_key() is k.canonical_key()
 
 
-def _least_serialization(d):
-    """The canonical key by its definition: for every choice of one start arc
-    per component, number the components' arcs in turn from their starts,
-    sort the relabeled quads numerically, and join their tokens; the key
-    holds the least of these strings."""
+def _least_serialization(d, marked=()):
+    """The canonical key by its definition: resolve the marked crossings
+    positively, then for every choice of one start arc per component number
+    the components' arcs in turn from their starts, sort the relabeled quads
+    numerically, and join their tokens, marked ones as D[...]; the key holds
+    the least of these strings."""
+    r = SingularDiagram(d, marked).resolved({i: 1 for i in marked})
     bodies = []
-    for starts in itertools.product(*(range(len(comp)) for comp in d.components)):
+    for starts in itertools.product(*(range(len(comp)) for comp in r.components)):
         label = {}
-        for comp, s in zip(d.components, starts):
+        for comp, s in zip(r.components, starts):
             for j in range(len(comp)):
                 label[comp[(s + j) % len(comp)]] = len(label) + 1
-        quads = sorted(tuple(label[a] for a in x.slots) for x in d.crossings)
-        bodies.append(" ".join("X[%d,%d,%d,%d]" % q for q in quads))
+        quads = sorted(
+            (tuple(label[a] for a in x.slots), "D" if i in marked else "X")
+            for i, x in enumerate(r.crossings)
+        )
+        bodies.append(" ".join(letter + "[%d,%d,%d,%d]" % q for q, letter in quads))
     return f"components={d.n_components} arcs={2 * d.n_crossings} {min(bodies)}".rstrip()
 
 
@@ -393,6 +417,23 @@ class TestSingularDiagram:
             SingularDiagram(d, (0,)).canonical_key()
             == SingularDiagram(d, (1,)).canonical_key()
         )
+
+    def test_marked_crossing_keeps_orientation(self):
+        # the double points agree; the remaining crossing is positive in one
+        # and negative in the other
+        t = bundled_table()
+        assert SingularDiagram(t["hopf"], (0,)) != SingularDiagram(t["hopf_m"], (0,))
+
+    def test_no_marks_is_the_plain_key(self):
+        for name, d in bundled_table().items():
+            assert SingularDiagram(d, ()).canonical_key() == d.canonical_key(), name
+
+    def test_key_matches_its_definition_on_rows(self):
+        for name, d in bundled_table().items():
+            for size in (1, 2):
+                for marked in itertools.combinations(range(d.n_crossings), size):
+                    key = SingularDiagram(d, marked).canonical_key()
+                    assert key == _least_serialization(d, marked), (name, marked)
 
     def test_unmarked_crossings_still_matter(self):
         d = bundled_table()["4_1"]
@@ -496,7 +537,7 @@ class TestProperties:
             arcs = d.arcs()
             mapping = dict(zip(arcs, rnd.sample(range(1, 10 * len(arcs)), len(arcs))))
             order = rnd.sample(range(d.n_crossings), d.n_crossings)
-            got = Diagram.from_quads([d.crossings[i].relabel(mapping).slots for i in order])
+            got = Diagram.from_quads([tuple(mapping[s] for s in d.crossings[i].slots) for i in order])
             assert [x.sign for x in got.crossings] == [d.crossings[i].sign for i in order], name
 
     @given(st.integers(1, 6), st.randoms(use_true_random=False))

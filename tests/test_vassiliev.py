@@ -18,6 +18,7 @@ from finitype.vassiliev import (
     vassiliev_difference,
     vassiliev_type_check,
 )
+from test_diagram import _least_serialization
 
 T = bundled_table()
 
@@ -86,6 +87,22 @@ class TestResolveOnce:
             ij = resolve_once(k, i).map_terms(lambda s: resolve_once(s, j))
             ji = resolve_once(k, j).map_terms(lambda s: resolve_once(s, i))
             assert ij == ji
+
+    def test_term_keys_match_their_definition(self):
+        # the marked diagrams above; every resolve_once term keeps its
+        # other double point, and its key is checked against the definition
+        rng = random.Random(4242)
+        hosts = [d for d in T.values() if d.n_crossings >= 3]
+        cases = [(T["3_1"], (0,)), (T["4_1"], (0, 2)), (T["4_1"], (1, 3))]
+        for _ in range(30):
+            d = rng.choice(hosts)
+            cases.append((d, tuple(rng.sample(range(d.n_crossings), 2))))
+        for d, points in cases:
+            k = SingularDiagram(d, points)
+            for p in points:
+                for term, _ in resolve_once(k, p).terms():
+                    want = _least_serialization(term.diagram, term.marked)
+                    assert term.canonical_key() == want, (serialize_pd(d), points, p)
 
 
 class TestResolveAll:
